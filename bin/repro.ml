@@ -283,6 +283,14 @@ let run_cmd =
     | None -> ());
     Format.printf "base:@.  %a@.clustered:@.  %a@." Machine.pp_result
       b.Experiment.result Machine.pp_result c.Experiment.result;
+    let engine (o : Experiment.outcome) =
+      Printf.sprintf "%d core steps / %d executed cycles"
+        o.Experiment.result.Machine.core_steps
+        o.Experiment.result.Machine.executed_cycles
+    in
+    Format.printf "engine (%s): base %s; clustered %s@."
+      (Machine.mode_to_string (Machine.resolve_mode Config.base))
+      (engine b) (engine c);
     let ci label (o : Experiment.outcome) =
       match o.Experiment.estimate with
       | Some est -> Format.printf "%s sampling estimate:@.  %a@." label Sampling.pp est

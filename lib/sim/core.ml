@@ -4,6 +4,7 @@ open Memclust_codegen
 type shared = {
   h : Hierarchy.shared;
   reached : int array;
+  mutable barrier_gen : int;
 }
 
 (* Per-cycle statistic deltas of the last step, replayed when the machine
@@ -56,6 +57,7 @@ type t = {
      event loop skip past a cycle where an instruction could issue. *)
   wake_heap : int Pqueue.t;
   sleep_until : int array;
+  wake_buf : int array;  (* scratch: one cycle's woken sleepers, sorted *)
   mutable branches : int;
   (* write buffer *)
   wpending : int Queue.t;
@@ -92,6 +94,7 @@ let make_shared cfg ~nprocs ~home =
   {
     h = Hierarchy.make_shared cfg ~nprocs ~home;
     reached = Array.make nprocs 0;
+    barrier_gen = 0;
   }
 
 let cfg_of t = t.sh.h.Hierarchy.cfg
@@ -120,6 +123,7 @@ let create (sh : shared) ~proc trace =
     done_heap = Pqueue.create ();
     wake_heap = Pqueue.create ();
     sleep_until = Array.make cap (-1);
+    wake_buf = Array.make cap 0;
     branches = 0;
     wpending = Queue.create ();
     winflight = Pqueue.create ();
@@ -157,13 +161,12 @@ let drain_wbuf t ~now =
     t.progressed <- true
   done;
   if not (Queue.is_empty t.wpending) then begin
-    let addr = Queue.peek t.wpending in
-    match Hierarchy.write t.h ~now addr with
-    | Some completion ->
-        ignore (Queue.pop t.wpending);
-        Pqueue.push t.winflight completion ();
-        t.progressed <- true
-    | None -> ()
+    let completion = Hierarchy.write t.h ~now (Queue.peek t.wpending) in
+    if completion <> Hierarchy.retry then begin
+      ignore (Queue.pop t.wpending);
+      Pqueue.push t.winflight completion ();
+      t.progressed <- true
+    end
   end
 
 let wbuf_occupancy t = Queue.length t.wpending + Pqueue.length t.winflight
@@ -177,15 +180,29 @@ let drain_done t ~now =
   done
 
 let barrier_satisfied t aux =
-  let ok = ref true in
-  Array.iter (fun r -> if r < aux then ok := false) t.sh.reached;
-  !ok
+  let reached = t.sh.reached in
+  let p = ref 0 in
+  while !p < Array.length reached && reached.(!p) >= aux do
+    incr p
+  done;
+  !p = Array.length reached
+
+(* this processor passed barrier [b]: other processors' barrier waits may
+   now be satisfiable, which the event loop observes as a new generation *)
+let arrive t b =
+  t.sh.reached.(t.proc) <- b;
+  t.sh.barrier_gen <- t.sh.barrier_gen + 1
+
+(* what the head of the window was waiting for when retirement stopped *)
+let stall_cpu = 0
+let stall_data = 1
+let stall_sync = 2
 
 let retire t ~now =
   let cfg = cfg_of t in
   let width = cfg.Config.retire_width in
   let r = ref 0 in
-  let stall_category = ref None in
+  let stall_category = ref stall_cpu in
   let continue_ = ref true in
   while !continue_ && !r < width && t.head < t.tail do
     let i = t.head in
@@ -194,7 +211,7 @@ let retire t ~now =
     | Trace.Barrier_op ->
         let b = Trace.aux t.trace i in
         if t.sh.reached.(t.proc) < b then begin
-          t.sh.reached.(t.proc) <- b;
+          arrive t b;
           (* shared state changed: other processors may now pass the
              barrier, so this cycle cannot be skipped over *)
           t.progressed <- true
@@ -206,7 +223,7 @@ let retire t ~now =
           incr r
         end
         else begin
-          stall_category := Some `Sync;
+          stall_category := stall_sync;
           continue_ := false
         end
     | kind ->
@@ -218,12 +235,11 @@ let retire t ~now =
         end
         else begin
           stall_category :=
-            Some
-              (match kind with
-              | Trace.Load | Trace.Store -> `Data
-              | Trace.Int_op | Trace.Fp_op | Trace.Branch | Trace.Prefetch_op ->
-                  `Cpu
-              | Trace.Barrier_op -> `Sync);
+            (match kind with
+            | Trace.Load | Trace.Store -> stall_data
+            | Trace.Int_op | Trace.Fp_op | Trace.Branch | Trace.Prefetch_op ->
+                stall_cpu
+            | Trace.Barrier_op -> stall_sync);
           continue_ := false
         end
   done;
@@ -231,11 +247,12 @@ let retire t ~now =
   t.bd.Breakdown.busy <- t.bd.Breakdown.busy +. busy_frac;
   let stall_frac = 1.0 -. busy_frac in
   if stall_frac > 0.0 then begin
-    match !stall_category with
-    | Some `Data -> t.bd.Breakdown.data_stall <- t.bd.Breakdown.data_stall +. stall_frac
-    | Some `Sync -> t.bd.Breakdown.sync_stall <- t.bd.Breakdown.sync_stall +. stall_frac
-    | Some `Cpu | None ->
-        t.bd.Breakdown.cpu_stall <- t.bd.Breakdown.cpu_stall +. stall_frac
+    let c = !stall_category in
+    if c = stall_data then
+      t.bd.Breakdown.data_stall <- t.bd.Breakdown.data_stall +. stall_frac
+    else if c = stall_sync then
+      t.bd.Breakdown.sync_stall <- t.bd.Breakdown.sync_stall +. stall_frac
+    else t.bd.Breakdown.cpu_stall <- t.bd.Breakdown.cpu_stall +. stall_frac
   end
 
 let dep_done t ~now d =
@@ -245,37 +262,45 @@ let dep_done t ~now d =
   t.state.(s) = 1 && t.done_at.(s) <= now
 
 (* Move every sleeper whose wake time has arrived back into the pending
-   list, preserving trace order (popped indices are sorted, then merged
-   into the — also sorted — list in one pass). From its wake cycle on, an
-   entry is re-examined every executed cycle exactly as if it had never
-   left the list. *)
+   list, preserving trace order (popped indices are insertion-sorted into
+   [wake_buf] without duplicates — they pop nearly in trace order — then
+   merged into the also sorted list in one pass). From its wake cycle on,
+   an entry is re-examined every executed cycle exactly as if it had
+   never left the list. Every live entry is a distinct in-window
+   instruction, so [wake_buf] (one slot per ring slot) cannot overflow. *)
 let wake_sleepers t ~now =
-  let batch = ref [] in
+  let buf = t.wake_buf in
+  let n = ref 0 in
   while Pqueue.min_prio t.wake_heap <= now do
     let i = Pqueue.min_value t.wake_heap in
     Pqueue.drop_min t.wake_heap;
-    if i >= t.head then batch := i :: !batch
+    if i >= t.head then begin
+      let j = ref !n in
+      while !j > 0 && buf.(!j - 1) > i do
+        decr j
+      done;
+      if !j = 0 || buf.(!j - 1) <> i then begin
+        Array.blit buf !j buf (!j + 1) (!n - !j);
+        buf.(!j) <- i;
+        incr n
+      end
+    end
   done;
-  match !batch with
-  | [] -> ()
-  | b ->
-      let sorted = match b with [ _ ] -> b | _ -> List.sort_uniq compare b in
-      let prev = ref (-1) in
-      let cur = ref t.pend_head in
-      List.iter
-        (fun i ->
-          while !cur >= 0 && !cur < i do
-            prev := !cur;
-            cur := t.pend_next.(slot t !cur)
-          done;
-          if !cur <> i then begin
-            t.pend_next.(slot t i) <- !cur;
-            if !prev < 0 then t.pend_head <- i
-            else t.pend_next.(slot t !prev) <- i;
-            if !cur < 0 then t.pend_last <- i;
-            prev := i
-          end)
-        sorted
+  let prev = ref (-1) in
+  let cur = ref t.pend_head in
+  for k = 0 to !n - 1 do
+    let i = buf.(k) in
+    while !cur >= 0 && !cur < i do
+      prev := !cur;
+      cur := t.pend_next.(slot t !cur)
+    done;
+    if !cur <> i then begin
+      t.pend_next.(slot t i) <- !cur;
+      if !prev < 0 then t.pend_head <- i else t.pend_next.(slot t !prev) <- i;
+      if !cur < 0 then t.pend_last <- i;
+      prev := i
+    end
+  done
 
 (* [i] (slot [s]) is blocked on dependence [d], which just failed
    [dep_done]. If [d] has a known earliest-completion time in the future
@@ -300,6 +325,13 @@ let try_sleep t ~now i s d =
   end
   else false
 
+let mark_issued t s ~at =
+  t.done_at.(s) <- at;
+  t.state.(s) <- 1;
+  t.progressed <- true;
+  (* completion feeds [next_event]; stale entries are drained in [step] *)
+  Pqueue.push t.done_heap t.done_at.(s) ()
+
 (* The scan walks the pending list — exactly the [state = 0] entries of
    the old whole-window scan, in the same (trace) order; already-issued
    entries were side-effect-free no-ops there, so skipping them changes
@@ -323,13 +355,6 @@ let issue t ~now =
   let no_barriers = not t.has_barriers in
   let issued = ref 0 in
   let alu = ref 0 and fpu = ref 0 and mem_u = ref 0 in
-  let mark_issued s =
-    t.state.(s) <- 1;
-    t.progressed <- true;
-    (* completion feeds [next_event]; stale entries are drained in [step] *)
-    Pqueue.push t.done_heap t.done_at.(s) ();
-    incr issued
-  in
   let prev = ref (-1) in
   let cur = ref t.pend_head in
   while
@@ -378,24 +403,25 @@ let issue t ~now =
              match kind with
              | Trace.Int_op ->
                  incr alu;
-                 t.done_at.(s) <- now + 1;
-                 mark_issued s
+                 mark_issued t s ~at:(now + 1);
+                 incr issued
              | Trace.Branch ->
                  incr alu;
-                 t.done_at.(s) <- now + 1;
                  t.branches <- max 0 (t.branches - 1);
-                 mark_issued s
+                 mark_issued t s ~at:(now + 1);
+                 incr issued
              | Trace.Fp_op ->
                  incr fpu;
-                 t.done_at.(s) <- now + Trace.aux t.trace i;
-                 mark_issued s
-             | Trace.Load -> (
-                 match Hierarchy.read t.h ~now (Trace.aux t.trace i) with
-                 | Some ready ->
-                     incr mem_u;
-                     t.done_at.(s) <- ready;
-                     mark_issued s
-                 | None -> () (* MSHRs full: retry next cycle *))
+                 mark_issued t s ~at:(now + Trace.aux t.trace i);
+                 incr issued
+             | Trace.Load ->
+                 let ready = Hierarchy.read t.h ~now (Trace.aux t.trace i) in
+                 (* on [retry] the MSHRs are full: retry next cycle *)
+                 if ready <> Hierarchy.retry then begin
+                   incr mem_u;
+                   mark_issued t s ~at:ready;
+                   incr issued
+                 end
              | Trace.Store ->
                  if wbuf_occupancy t >= cfg.Config.write_buffer then begin
                    (* count each store that stalls on a full write buffer
@@ -408,14 +434,14 @@ let issue t ~now =
                  else begin
                    incr mem_u;
                    Queue.push (Trace.aux t.trace i) t.wpending;
-                   t.done_at.(s) <- now;
-                   mark_issued s
+                   mark_issued t s ~at:now;
+                   incr issued
                  end
              | Trace.Prefetch_op ->
                  incr mem_u;
                  Hierarchy.prefetch t.h ~now (Trace.aux t.trace i);
-                 t.done_at.(s) <- now;
-                 mark_issued s
+                 mark_issued t s ~at:now;
+                 incr issued
              | Trace.Barrier_op ->
                  t.done_at.(s) <- now;
                  t.state.(s) <- 1;
@@ -519,16 +545,18 @@ let replay_idle t ~times =
    instruction's result becoming available (which can unblock retire and
    dependent issues). Barrier release is not a timed event — it is
    triggered by another core's progress, which the machine loop observes
-   directly. *)
+   through [barrier_gen]. [max_int] when nothing is pending. *)
 let next_event t ~now =
-  let ne = ref max_int in
-  let consider at = if at > now && at < !ne then ne := at in
-  consider (Hierarchy.next_completion t.h);
-  consider (Pqueue.min_prio t.winflight);
   (* stale minima would hide the real next completion behind them *)
   drain_done t ~now;
-  consider (Pqueue.min_prio t.done_heap);
-  if !ne = max_int then None else Some !ne
+  let ne = ref max_int in
+  let mshr = Hierarchy.next_completion t.h in
+  if mshr > now then ne := mshr;
+  let w = Pqueue.min_prio t.winflight in
+  if w > now && w < !ne then ne := w;
+  let d = Pqueue.min_prio t.done_heap in
+  if d > now && d < !ne then ne := d;
+  !ne
 
 let breakdown t = t.bd
 
@@ -585,8 +613,7 @@ let warm_store t addr =
   if Queue.length t.wpending > (cfg_of t).Config.write_buffer then
     ignore (Queue.pop t.wpending)
 
-let warm_barrier t b =
-  if t.sh.reached.(t.proc) < b then t.sh.reached.(t.proc) <- b
+let warm_barrier t b = if t.sh.reached.(t.proc) < b then arrive t b
 
 (* Functionally complete the reads the core has in flight; buffered
    stores update caches/versions as if they had drained but stay queued

@@ -18,6 +18,10 @@ type shared = {
       (** memory-side shared state (config, memory system, coherence
           versions, home map) *)
   reached : int array;  (** per-processor barrier progress *)
+  mutable barrier_gen : int;
+      (** bumped whenever some entry of [reached] rises: the one piece of
+          another processor's state a stalled core's step reads, so the
+          event loop wakes sleeping cores when it changes *)
 }
 
 type t
@@ -29,7 +33,9 @@ val step : t -> now:int -> unit
 (** One cycle: MSHR cleanup, write-buffer drain, retire (with stall
     attribution), issue, fetch. Also records whether the cycle made
     progress (see {!progressed}) and the per-cycle statistic deltas
-    needed by {!replay_idle}. *)
+    needed by {!replay_idle}. A step that makes no progress allocates
+    nothing; a progressing one only allocates write-buffer cells and the
+    MSHR entries of new memory misses. *)
 
 val progressed : t -> bool
 (** Whether the last {!step} changed simulation state — retired, issued
@@ -37,14 +43,16 @@ val progressed : t -> bool
     or advanced the shared barrier state — as opposed to only
     accumulating per-cycle statistics (stall attribution, retry
     counters). A no-progress step is a fixed point: re-running it at any
-    cycle before {!next_event} produces identical effects. *)
+    cycle before {!next_event}, while [barrier_gen] is unchanged,
+    produces identical effects. *)
 
-val next_event : t -> now:int -> int option
+val next_event : t -> now:int -> int
 (** Earliest cycle strictly after [now] at which this core's behaviour
     can change on its own: the minimum over pending miss completions,
     draining write completions, and in-window issued instructions'
-    completion times. [None] when nothing is pending (the core is either
-    finished or waiting on another processor's barrier arrival). *)
+    completion times. [max_int] when nothing is pending (the core is
+    either finished or waiting on another processor's barrier arrival).
+    Allocates nothing. *)
 
 val replay_idle : t -> times:int -> unit
 (** Repeat the per-cycle statistic side effects of the last (no-progress)

@@ -15,12 +15,18 @@
      a request occupies an MSHR at each level it passed through, so the
      smallest file in the stack bounds memory parallelism (lp), and a
      coalescing probe at any level finds the same entry.
-   - Coherence and memory transfers are at the last level's line size. *)
+   - Coherence and memory transfers are at the last level's line size.
+
+   Every access path is allocation-free apart from the MSHR entry of a
+   new memory miss: the simulator runs them billions of times. Loops
+   stand in for closures and local recursive functions (which would
+   allocate their environment per call), and results are plain ints with
+   {!retry} as the "no MSHR" sentinel. *)
 
 type shared = {
   cfg : Config.t;
   mem : Memsys.t;
-  versions : (int, int * int) Hashtbl.t;
+  versions : (int, int) Hashtbl.t;
   home : int -> int;
   nprocs : int;
 }
@@ -44,7 +50,7 @@ type t = {
   level_misses : int array;  (* demand loads missing each level *)
   mutable mem_misses : int;  (* demand accesses that went to memory *)
   mutable read_misses : int;
-  mutable read_miss_lat : float;
+  mutable read_miss_lat : int;  (* an int: a float field here would box *)
   mutable mshr_full_count : int;
   mutable prefetch_count : int;
   mutable prefetch_miss_count : int;  (* prefetches that went to memory *)
@@ -90,7 +96,7 @@ let create sh ~proc =
     level_misses = Array.make n 0;
     mem_misses = 0;
     read_misses = 0;
-    read_miss_lat = 0.0;
+    read_miss_lat = 0;
     mshr_full_count = 0;
     prefetch_count = 0;
     prefetch_miss_count = 0;
@@ -106,10 +112,27 @@ let coh_line t addr =
 let level_line lvl addr =
   if lvl.lshift >= 0 then addr lsr lvl.lshift else addr / lvl.lsize
 
-let version t line =
-  match Hashtbl.find_opt t.sh.versions line with
-  | Some vw -> vw
-  | None -> (0, -1)
+(* A line's coherence state is packed into one int, (version lsl 16) lor
+   (last writer + 1), so a lookup returns an immediate and a write
+   replaces the binding's value in place instead of allocating a tuple.
+   Bound: writers are processor ids below 65535 (the lowering caps the
+   processor count far lower); versions below 2^46, one bump per
+   ownership change. An absent line packs to 0: version 0, no writer. *)
+let writer_bits = 16
+let writer_mask = (1 lsl writer_bits) - 1
+
+let pack ~version ~writer = (version lsl writer_bits) lor (writer + 1)
+let version_of c = c lsr writer_bits
+let writer_of c = (c land writer_mask) - 1
+
+let coherence t line =
+  match Hashtbl.find t.sh.versions line with
+  | c -> c
+  | exception Not_found -> 0
+
+(* this processor becomes the line's last writer, at [version] *)
+let commit t line ~version =
+  Hashtbl.replace t.sh.versions line (pack ~version ~writer:t.proc)
 
 let miss_kind t ~writer ~home =
   if t.sh.nprocs = 1 then Memsys.Local
@@ -117,36 +140,42 @@ let miss_kind t ~writer ~home =
   else if home = t.proc then Memsys.Local
   else Memsys.Remote
 
-(* Coalescing probe: an in-flight miss covering [addr] at any level. Line
-   sizes are non-decreasing toward memory, so addresses sharing an upper
-   line share every line below — all levels hold the same entry set, just
-   under their own keys; probing top-down finds the shared entry. *)
+(* Coalescing probe: the in-flight miss covering [addr] at any level, or
+   [Mshr.none]. Line sizes are non-decreasing toward memory, so addresses
+   sharing an upper line share every line below — all levels hold the
+   same entry set, just under their own keys; probing top-down finds the
+   shared entry. *)
 let find_inflight t addr =
-  let n = Array.length t.levels in
-  let rec go k =
-    if k >= n then None
-    else
-      match Mshr.find t.levels.(k).mshr (level_line t.levels.(k) addr) with
-      | Some e -> Some e
-      | None -> go (k + 1)
-  in
-  go 0
-
-let inflight_mem t addr =
-  Array.exists (fun lvl -> Mshr.mem lvl.mshr (level_line lvl addr)) t.levels
+  let found = ref Mshr.none in
+  let k = ref 0 in
+  while !found == Mshr.none && !k < Array.length t.levels do
+    let lvl = t.levels.(!k) in
+    found := Mshr.find lvl.mshr (level_line lvl addr);
+    incr k
+  done;
+  !found
 
 (* A memory-bound miss needs an entry in every file. *)
-let any_full t = Array.exists (fun lvl -> Mshr.full lvl.mshr) t.levels
+let any_full t =
+  let full = ref false in
+  for k = 0 to Array.length t.levels - 1 do
+    if Mshr.full t.levels.(k).mshr then full := true
+  done;
+  !full
 
 let allocate t addr ~ready ~has_read ~has_write ~prefetch_only =
   let e = { Mshr.ready; has_read; has_write; prefetch_only } in
-  Array.iter (fun lvl -> Mshr.insert lvl.mshr ~line:(level_line lvl addr) e) t.levels;
-  e
+  for k = 0 to Array.length t.levels - 1 do
+    let lvl = t.levels.(k) in
+    Mshr.insert lvl.mshr ~line:(level_line lvl addr) e
+  done
 
 let note_read t (e : Mshr.entry) =
   if not e.Mshr.has_read then begin
     e.Mshr.has_read <- true;
-    Array.iter (fun lvl -> Mshr.note_read lvl.mshr) t.levels
+    for k = 0 to Array.length t.levels - 1 do
+      Mshr.note_read t.levels.(k).mshr
+    done
   end
 
 let fill_above t k ~version ~addr =
@@ -154,135 +183,136 @@ let fill_above t k ~version ~addr =
     Cache.fill t.levels.(i).cache ~version ~addr
   done
 
-let fill_all t ~version ~addr =
-  Array.iter (fun lvl -> Cache.fill lvl.cache ~version ~addr) t.levels
+let fill_all t ~version ~addr = fill_above t (Array.length t.levels) ~version ~addr
 
-(* Demand load: [Some ready] or [None] when no MSHR is available. *)
+(* The first level whose cache holds [addr] at [version] (the depth when
+   none does), refreshing LRU state down to it. *)
+let first_hit t ~version ~addr =
+  let k = ref 0 in
+  while
+    !k < Array.length t.levels
+    && not (Cache.lookup t.levels.(!k).cache ~version ~addr)
+  do
+    incr k
+  done;
+  !k
+
+let retry = -1
+
+(* Demand load: the completion cycle, or [retry] when no MSHR is free. *)
 let read t ~now addr =
-  match find_inflight t addr with
-  | Some e ->
-      if e.Mshr.prefetch_only then begin
-        (* the prefetch launched the line but too late to hide it fully *)
-        t.late_prefetch_count <- t.late_prefetch_count + 1;
-        e.Mshr.prefetch_only <- false
-      end;
-      note_read t e;
-      Some e.Mshr.ready
-  | None -> (
-      let line = coh_line t addr in
-      let v, w = version t line in
-      let n = Array.length t.levels in
-      let rec probe k =
-        if k >= n then n
-        else if Cache.lookup t.levels.(k).cache ~version:v ~addr then begin
-          t.level_hits.(k) <- t.level_hits.(k) + 1;
-          k
-        end
-        else begin
-          t.level_misses.(k) <- t.level_misses.(k) + 1;
-          probe (k + 1)
-        end
-      in
-      match probe 0 with
-      | k when k < n ->
-          fill_above t k ~version:v ~addr;
-          Some (now + t.levels.(k).lat)
-      | _ ->
-          if any_full t then begin
-            t.mshr_full_count <- t.mshr_full_count + 1;
-            None
-          end
-          else begin
-            let home = t.sh.home addr in
-            let kind = miss_kind t ~writer:w ~home in
-            let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
-            ignore
-              (allocate t addr ~ready ~has_read:true ~has_write:false
-                 ~prefetch_only:false);
-            fill_all t ~version:v ~addr;
-            t.mem_misses <- t.mem_misses + 1;
-            t.read_misses <- t.read_misses + 1;
-            t.read_miss_lat <- t.read_miss_lat +. float_of_int (ready - now);
-            Some ready
-          end)
+  let e = find_inflight t addr in
+  if e != Mshr.none then begin
+    if e.Mshr.prefetch_only then begin
+      (* the prefetch launched the line but too late to hide it fully *)
+      t.late_prefetch_count <- t.late_prefetch_count + 1;
+      e.Mshr.prefetch_only <- false
+    end;
+    note_read t e;
+    e.Mshr.ready
+  end
+  else begin
+    let line = coh_line t addr in
+    let c = coherence t line in
+    let v = version_of c in
+    let n = Array.length t.levels in
+    let k = first_hit t ~version:v ~addr in
+    for i = 0 to k - 1 do
+      t.level_misses.(i) <- t.level_misses.(i) + 1
+    done;
+    if k < n then begin
+      t.level_hits.(k) <- t.level_hits.(k) + 1;
+      fill_above t k ~version:v ~addr;
+      now + t.levels.(k).lat
+    end
+    else if any_full t then begin
+      t.mshr_full_count <- t.mshr_full_count + 1;
+      retry
+    end
+    else begin
+      let home = t.sh.home addr in
+      let kind = miss_kind t ~writer:(writer_of c) ~home in
+      let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
+      allocate t addr ~ready ~has_read:true ~has_write:false ~prefetch_only:false;
+      fill_all t ~version:v ~addr;
+      t.mem_misses <- t.mem_misses + 1;
+      t.read_misses <- t.read_misses + 1;
+      t.read_miss_lat <- t.read_miss_lat + (ready - now);
+      ready
+    end
+  end
 
-(* Write-buffer drain access (write-allocate). *)
+(* Write-buffer drain access (write-allocate): the completion cycle, or
+   [retry] when no MSHR is free. *)
 let write t ~now addr =
   let line = coh_line t addr in
-  let v, w = version t line in
+  let c = coherence t line in
+  let v = version_of c and w = writer_of c in
   (* coherence: a write by a new owner invalidates all other copies *)
   let v' = if w <> t.proc && w >= 0 then v + 1 else v in
-  let commit () = Hashtbl.replace t.sh.versions line (v', t.proc) in
-  match find_inflight t addr with
-  | Some e ->
-      e.Mshr.has_write <- true;
-      commit ();
+  let e = find_inflight t addr in
+  if e != Mshr.none then begin
+    e.Mshr.has_write <- true;
+    commit t line ~version:v';
+    fill_all t ~version:v' ~addr;
+    e.Mshr.ready
+  end
+  else begin
+    let owned = w = t.proc || w < 0 in
+    (* every level is probed (so every copy gets its LRU refresh) even
+       below the first hit, as the fixed two-level model did *)
+    let hit_level = ref (-1) in
+    if owned then
+      for k = 0 to Array.length t.levels - 1 do
+        if Cache.lookup t.levels.(k).cache ~version:v ~addr && !hit_level < 0
+        then hit_level := k
+      done;
+    if !hit_level >= 0 then begin
+      commit t line ~version:v';
       fill_all t ~version:v' ~addr;
-      Some e.Mshr.ready
-  | None ->
-      let owned = w = t.proc || w < 0 in
-      (* every level is probed (so every copy gets its LRU refresh) even
-         below the first hit, as the fixed two-level model did *)
-      let hit_level = ref (-1) in
-      if owned then
-        Array.iteri
-          (fun k lvl ->
-            if Cache.lookup lvl.cache ~version:v ~addr && !hit_level < 0 then
-              hit_level := k)
-          t.levels;
-      if !hit_level >= 0 then begin
-        commit ();
-        fill_all t ~version:v' ~addr;
-        Some (now + t.levels.(!hit_level).lat)
-      end
-      else if any_full t then None
-      else begin
-        let home = t.sh.home addr in
-        let kind = miss_kind t ~writer:w ~home in
-        let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
-        ignore
-          (allocate t addr ~ready ~has_read:false ~has_write:true
-             ~prefetch_only:false);
-        commit ();
-        fill_all t ~version:v' ~addr;
-        t.mem_misses <- t.mem_misses + 1;
-        Some ready
-      end
+      now + t.levels.(!hit_level).lat
+    end
+    else if any_full t then retry
+    else begin
+      let home = t.sh.home addr in
+      let kind = miss_kind t ~writer:w ~home in
+      let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
+      allocate t addr ~ready ~has_read:false ~has_write:true ~prefetch_only:false;
+      commit t line ~version:v';
+      fill_all t ~version:v' ~addr;
+      t.mem_misses <- t.mem_misses + 1;
+      ready
+    end
+  end
 
 (* Non-binding prefetch: fills the caches if it can get an MSHR, is
    dropped when the line is already present/in flight or when no MSHR is
    available (as hardware drops hint prefetches under pressure). *)
 let prefetch t ~now addr =
   t.prefetch_count <- t.prefetch_count + 1;
-  match find_inflight t addr with
-  | Some _ -> ()
-  | None ->
-      let line = coh_line t addr in
-      let v, w = version t line in
-      let n = Array.length t.levels in
-      let rec probe k =
-        if k >= n then n
-        else if Cache.lookup t.levels.(k).cache ~version:v ~addr then k
-        else probe (k + 1)
-      in
-      let k = probe 0 in
-      if k < n then fill_above t k ~version:v ~addr
-      else if not (any_full t) then begin
-        let home = t.sh.home addr in
-        let kind = miss_kind t ~writer:w ~home in
-        let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
-        ignore
-          (allocate t addr ~ready ~has_read:false ~has_write:false
-             ~prefetch_only:true);
-        fill_all t ~version:v ~addr;
-        t.prefetch_miss_count <- t.prefetch_miss_count + 1
-      end
+  if find_inflight t addr == Mshr.none then begin
+    let line = coh_line t addr in
+    let c = coherence t line in
+    let v = version_of c in
+    let k = first_hit t ~version:v ~addr in
+    if k < Array.length t.levels then fill_above t k ~version:v ~addr
+    else if not (any_full t) then begin
+      let home = t.sh.home addr in
+      let kind = miss_kind t ~writer:(writer_of c) ~home in
+      let ready = Memsys.request t.sh.mem ~proc:t.proc ~home ~kind ~line ~now in
+      allocate t addr ~ready ~has_read:false ~has_write:false ~prefetch_only:true;
+      fill_all t ~version:v ~addr;
+      t.prefetch_miss_count <- t.prefetch_miss_count + 1
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 
 let cleanup t ~now =
   let any = ref false in
-  Array.iter (fun lvl -> if Mshr.cleanup lvl.mshr ~now then any := true) t.levels;
+  for k = 0 to Array.length t.levels - 1 do
+    if Mshr.cleanup t.levels.(k).mshr ~now then any := true
+  done;
   !any
 
 let next_completion t =
@@ -303,7 +333,7 @@ let mshr_occupancy_by_level t =
 (* statistics *)
 let mem_misses t = t.mem_misses
 let read_misses t = t.read_misses
-let read_miss_latency_sum t = t.read_miss_lat
+let read_miss_latency_sum t = float_of_int t.read_miss_lat
 let l1_misses t = t.level_misses.(0)
 let mshr_full_events t = t.mshr_full_count
 let prefetches t = t.prefetch_count
@@ -341,20 +371,15 @@ let warm_read t addr =
      a functional drain), and the last level's file holds every in-flight
      miss; [Mshr.is_empty] is a field read, so this skips the per-level
      hash probes per warmed reference *)
-  if Mshr.is_empty (bottom t).mshr || not (inflight_mem t addr) then begin
+  if Mshr.is_empty (bottom t).mshr || find_inflight t addr == Mshr.none then begin
     (* uniprocessor coherence versions never move (a line's version only
        bumps when a different processor writes it), so the versions table
        probe is pure overhead there *)
-    let v = if t.sh.nprocs = 1 then 0 else fst (version t (coh_line t addr)) in
-    let n = Array.length t.levels in
-    let rec probe k =
-      if k >= n then n
-      else if Cache.lookup t.levels.(k).cache ~version:v ~addr then k
-      else probe (k + 1)
+    let v =
+      if t.sh.nprocs = 1 then 0 else version_of (coherence t (coh_line t addr))
     in
-    let k = probe 0 in
     (* fill the levels the access missed (all of them on a full miss) *)
-    if k > 0 then fill_above t (min k n) ~version:v ~addr
+    fill_above t (first_hit t ~version:v ~addr) ~version:v ~addr
   end
 
 let warm_write t addr =
@@ -362,9 +387,10 @@ let warm_write t addr =
     if t.sh.nprocs = 1 then 0
     else begin
       let line = coh_line t addr in
-      let v, w = version t line in
+      let c = coherence t line in
+      let v = version_of c and w = writer_of c in
       let v' = if w <> t.proc && w >= 0 then v + 1 else v in
-      Hashtbl.replace t.sh.versions line (v', t.proc);
+      commit t line ~version:v';
       v'
     end
   in

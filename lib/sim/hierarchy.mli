@@ -17,8 +17,10 @@
 type shared = {
   cfg : Config.t;
   mem : Memsys.t;
-  versions : (int, int * int) Hashtbl.t;
-      (** line -> (coherence version, last writer) *)
+  versions : (int, int) Hashtbl.t;
+      (** line -> coherence version and last writer, packed into one int
+          as [(version lsl 16) lor (writer + 1)] (so processor ids stay
+          below 65535); an absent line is version 0 with no writer *)
   home : int -> int;  (** home node of a byte address *)
   nprocs : int;
 }
@@ -33,15 +35,20 @@ val create : shared -> proc:int -> t
 
 val depth : t -> int
 
-val read : t -> now:int -> int -> int option
-(** Demand load at a byte address: [Some completion_cycle], or [None]
+val retry : int
+(** [-1]: what {!read} and {!write} return when the access could not get
+    an MSHR. Completion cycles are never negative. *)
+
+val read : t -> now:int -> int -> int
+(** Demand load at a byte address: the completion cycle, or {!retry}
     when the miss could not allocate an MSHR at some level (retry next
     cycle; counted in {!mshr_full_events}). Coalesces onto an in-flight
-    same-line miss, catching late prefetches. *)
+    same-line miss, catching late prefetches. Allocation-free except for
+    the MSHR entry of a new memory miss. *)
 
-val write : t -> now:int -> int -> int option
+val write : t -> now:int -> int -> int
 (** Write-buffer drain access (write-allocate, ownership via coherence
-    versions): [Some completion_cycle] or [None] on a full MSHR file
+    versions): the completion cycle, or {!retry} on a full MSHR file
     (not counted — the buffered store retries silently). *)
 
 val prefetch : t -> now:int -> int -> unit

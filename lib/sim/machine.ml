@@ -20,6 +20,8 @@ type result = {
   bus_utilization : float;
   bank_utilization : float;
   instructions : int;
+  core_steps : int;
+  executed_cycles : int;
 }
 
 let ns_per_cycle (cfg : Config.t) = 1000.0 /. float_of_int cfg.Config.clock_mhz
@@ -67,10 +69,14 @@ let resolve_mode ?mode (cfg : Config.t) =
       | None -> default_mode ())
 
 (* ------------------------------------------------------------------ *)
-(* The lockstep engine, factored so sampled mode can run it in bounded
-   bursts. [advance ~stop:(fun () -> false)] is the pre-existing loop,
-   statement for statement — Cycle and Event results stay bit-identical
-   to the unfactored driver. *)
+(* The engine, factored so sampled mode can run it in bounded bursts.
+
+   Cycle mode ([run_cycle]) is the reference: every unfinished core
+   steps in every cycle. Event mode ([advance]) steps a core only when it
+   can change: a core whose step made no progress sleeps until its own
+   next event or until the barrier generation moves, and its skipped
+   cycles are settled (statistics replayed) lazily. Both produce
+   bit-identical results; see docs/PERF.md. *)
 
 type engine = {
   sh : Core.shared;
@@ -85,11 +91,17 @@ type engine = {
   time_budget : float;  (* wall-clock seconds; 0 disables *)
   start_wall : float;
   mutable last_progress : int;  (* cycle of the last core state change *)
-  mutable wd_iters : int;  (* loop iterations, for cheap periodic checks *)
   mutable mode_name : string;
+  (* event mode, per core: the cycle it next steps at ([max_int]: only a
+     barrier arrival can wake it), the barrier generation it went to
+     sleep under, and the first cycle its statistics do not cover yet *)
+  wake : int array;
+  wake_gen : int array;
+  settled : int array;
+  (* engine counters *)
+  mutable core_steps : int;
+  mutable executed_cycles : int;
 }
-
-type stepping = Step_cycle | Step_event
 
 let default_watchdog_cycles () =
   match
@@ -129,8 +141,12 @@ let make_engine ?(max_cycles = 400_000_000) ?watchdog_cycles ?time_budget
       | _ -> default_time_budget ());
     start_wall = Unix.gettimeofday ();
     last_progress = 0;
-    wd_iters = 0;
     mode_name = "event";
+    wake = Array.make nprocs 0;
+    wake_gen = Array.make nprocs 0;
+    settled = Array.make nprocs 0;
+    core_steps = 0;
+    executed_cycles = 0;
   }
 
 (* The watchdog's state dump: per-proc PC, barrier progress, per-level
@@ -156,8 +172,8 @@ let state_dump e =
            (if Core.finished c then " (finished)" else "")
            e.sh.Core.reached.(p) mshrs
            (match Core.next_event c ~now:e.cycle with
-           | Some n -> string_of_int n
-           | None -> "none")))
+           | n when n = max_int -> "none"
+           | n -> string_of_int n)))
     e.procs;
   Buffer.contents b
 
@@ -171,37 +187,45 @@ let deadlock e ~reason =
          state_dump = state_dump e;
        })
 
-(* Run the lockstep loop until the machine quiesces (returns [false]) or
-   [stop] fires right after a cycle advance (returns [true]); a stopped
-   engine resumes mid-run with the next [advance] call, continuing
-   exactly where it left off. *)
-let advance e stepping ~stop =
+(* Loop-top checks shared by both engines: the cycle budget and, every
+   8192 executed cycles, the wall-clock budget. *)
+let begin_cycle e =
+  if e.cycle > e.max_cycles then
+    deadlock e
+      ~reason:
+        (Printf.sprintf "exceeded the %d-cycle simulation budget" e.max_cycles);
+  e.executed_cycles <- e.executed_cycles + 1;
+  if
+    e.time_budget > 0.0
+    && e.executed_cycles land 8191 = 0
+    && Unix.gettimeofday () -. e.start_wall > e.time_budget
+  then
+    deadlock e
+      ~reason:
+        (Printf.sprintf "exceeded the %.1fs wall-clock budget" e.time_budget)
+
+let watch e ~progress =
+  if progress then e.last_progress <- e.cycle
+  else if e.cycle - e.last_progress > e.watchdog_cycles then
+    deadlock e
+      ~reason:
+        (Printf.sprintf
+           "no core issued, retired or completed an event for %d cycles \
+            (watchdog budget %d)"
+           (e.cycle - e.last_progress) e.watchdog_cycles)
+
+(* Run the lockstep loop until the machine quiesces. *)
+let run_cycle e =
   let nprocs = Array.length e.procs in
-  let live = ref true in
   let go = ref true in
-  (* the legs between [advance] calls (sampled-mode fast-forwards) are
-     not the engine's to police: forgive them, watch within this call *)
-  e.last_progress <- e.cycle;
   while !go do
-    if e.cycle > e.max_cycles then
-      deadlock e
-        ~reason:
-          (Printf.sprintf "exceeded the %d-cycle simulation budget"
-             e.max_cycles);
-    e.wd_iters <- e.wd_iters + 1;
-    if
-      e.time_budget > 0.0
-      && e.wd_iters land 8191 = 0
-      && Unix.gettimeofday () -. e.start_wall > e.time_budget
-    then
-      deadlock e
-        ~reason:
-          (Printf.sprintf "exceeded the %.1fs wall-clock budget" e.time_budget);
+    begin_cycle e;
     let running = ref false in
     let any_progress = ref false in
     for p = 0 to nprocs - 1 do
       if not (Core.finished e.procs.(p)) then begin
         Core.step e.procs.(p) ~now:e.cycle;
+        e.core_steps <- e.core_steps + 1;
         if Core.progressed e.procs.(p) then any_progress := true;
         if not (Core.finished e.procs.(p)) then running := true
       end
@@ -214,61 +238,112 @@ let advance e stepping ~stop =
       Stats.Histogram.add e.total_hist (Core.mshr_total_occupancy e.procs.(p))
     done;
     if !running then begin
-      if !any_progress then e.last_progress <- e.cycle
-      else if e.cycle - e.last_progress > e.watchdog_cycles then
+      watch e ~progress:!any_progress;
+      e.cycle <- e.cycle + 1
+    end
+    else go := false
+  done
+
+(* Account core [p]'s cycles from [settled.(p)] up to [upto] (exclusive),
+   none of which it stepped: each repeats its last, no-progress step — or
+   is a sync cycle once it has finished — and samples the same MSHR
+   occupancy, which only the core's own steps change. *)
+let settle e p ~upto =
+  let k = upto - e.settled.(p) in
+  if k > 0 then begin
+    let c = e.procs.(p) in
+    if Core.finished c then begin
+      let bd = Core.breakdown c in
+      bd.Breakdown.sync_stall <- bd.Breakdown.sync_stall +. float_of_int k
+    end
+    else Core.replay_idle c ~times:k;
+    Stats.Histogram.add_times e.read_hist (Core.mshr_read_occupancy c) k;
+    Stats.Histogram.add_times e.total_hist (Core.mshr_total_occupancy c) k;
+    e.settled.(p) <- upto
+  end
+
+let settle_all e ~upto =
+  for p = 0 to Array.length e.procs - 1 do
+    settle e p ~upto
+  done
+
+(* After the clock jumped without simulating (a sampled-mode fast-forward
+   leg): the skipped cycles are accounted to nobody, and every core steps
+   at the new cycle, whatever it was waiting for. *)
+let resync e =
+  Array.fill e.settled 0 (Array.length e.settled) e.cycle;
+  Array.fill e.wake 0 (Array.length e.wake) e.cycle
+
+(* Run the event engine until the machine quiesces (returns [false]) or
+   [stop] fires right after a cycle advance (returns [true]); a stopped
+   engine resumes mid-run with the next call, continuing exactly where it
+   left off. Either way every core's statistics are settled up to the
+   current cycle on return.
+
+   A core steps in cycle [now] when its wake time has come or the barrier
+   generation moved since it went to sleep; otherwise re-stepping it
+   would repeat its last no-progress step exactly (see [Core.progressed]).
+   Cores are visited in index order, so a sleeper above a processor that
+   raises [reached] in this cycle is released in this cycle and one below
+   it in the next — both as in the cycle loop. When no stepped core
+   progressed, the clock jumps to the earliest wake time. *)
+let advance e ~stop =
+  let nprocs = Array.length e.procs in
+  let live = ref true in
+  let go = ref true in
+  (* the legs between [advance] calls (sampled-mode fast-forwards) are
+     not the engine's to police: forgive them, watch within this call *)
+  e.last_progress <- e.cycle;
+  while !go do
+    begin_cycle e;
+    let now = e.cycle in
+    let running = ref false in
+    let any_progress = ref false in
+    let next = ref max_int in
+    for p = 0 to nprocs - 1 do
+      let c = e.procs.(p) in
+      if not (Core.finished c) then begin
+        if e.wake.(p) <= now || e.wake_gen.(p) <> e.sh.Core.barrier_gen then begin
+          settle e p ~upto:now;
+          Core.step c ~now;
+          e.core_steps <- e.core_steps + 1;
+          Stats.Histogram.add e.read_hist (Core.mshr_read_occupancy c);
+          Stats.Histogram.add e.total_hist (Core.mshr_total_occupancy c);
+          e.settled.(p) <- now + 1;
+          if Core.progressed c then begin
+            any_progress := true;
+            e.wake.(p) <- now + 1
+          end
+          else begin
+            e.wake.(p) <- Core.next_event c ~now;
+            e.wake_gen.(p) <- e.sh.Core.barrier_gen
+          end
+        end;
+        if not (Core.finished c) then begin
+          running := true;
+          if e.wake.(p) < !next then next := e.wake.(p)
+        end
+      end
+    done;
+    if !running then begin
+      watch e ~progress:!any_progress;
+      if !any_progress then e.cycle <- now + 1
+      else if !next = max_int then
+        (* nothing pending anywhere yet cores are unfinished: a genuine
+           deadlock — report it now with the machine state instead of
+           spinning to the cycle budget *)
         deadlock e
           ~reason:
-            (Printf.sprintf
-               "no core issued, retired or completed an event for %d cycles \
-                (watchdog budget %d)"
-               (e.cycle - e.last_progress) e.watchdog_cycles);
-      (match stepping with
-      | Step_cycle -> e.cycle <- e.cycle + 1
-      | Step_event when !any_progress -> e.cycle <- e.cycle + 1
-      | Step_event -> (
-          (* No core changed state this cycle: every cycle up to the next
-             completion event repeats the exact same stalled step. Jump
-             there, replaying the per-cycle statistics (stall attribution,
-             retry counters, MSHR-occupancy samples) for the skipped
-             cycles so results stay bit-identical to the cycle loop. *)
-          let next = ref max_int in
-          for p = 0 to nprocs - 1 do
-            if not (Core.finished e.procs.(p)) then
-              match Core.next_event e.procs.(p) ~now:e.cycle with
-              | Some ev when ev < !next -> next := ev
-              | _ -> ()
-          done;
-          match !next with
-          | n when n = max_int ->
-              (* nothing pending anywhere yet cores are unfinished: a
-                 genuine deadlock — report it now with the machine state
-                 instead of spinning to the cycle budget *)
-              deadlock e
-                ~reason:
-                  "no completion pending on any processor and no core can \
-                   make progress"
-          | n ->
-              let skip = n - e.cycle - 1 in
-              if skip > 0 then begin
-                let w = float_of_int skip in
-                for p = 0 to nprocs - 1 do
-                  if Core.finished e.procs.(p) then begin
-                    let bd = Core.breakdown e.procs.(p) in
-                    bd.Breakdown.sync_stall <- bd.Breakdown.sync_stall +. w
-                  end
-                  else Core.replay_idle e.procs.(p) ~times:skip;
-                  Stats.Histogram.add_weighted e.read_hist
-                    (Core.mshr_read_occupancy e.procs.(p))
-                    w;
-                  Stats.Histogram.add_weighted e.total_hist
-                    (Core.mshr_total_occupancy e.procs.(p))
-                    w
-                done
-              end;
-              e.cycle <- n));
-      if stop () then go := false
+            "no completion pending on any processor and no core can make \
+             progress"
+      else e.cycle <- !next;
+      if stop () then begin
+        settle_all e ~upto:e.cycle;
+        go := false
+      end
     end
     else begin
+      settle_all e ~upto:(now + 1);
       go := false;
       live := false
     end
@@ -331,6 +406,8 @@ let assemble_exact e =
     bus_utilization = Memsys.bus_utilization e.sh.Core.h.Hierarchy.mem ~upto:cycles;
     bank_utilization = Memsys.bank_utilization e.sh.Core.h.Hierarchy.mem ~upto:cycles;
     instructions = fold_procs e Core.retired_instructions;
+    core_steps = e.core_steps;
+    executed_cycles = e.executed_cycles;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -452,7 +529,7 @@ let run_sampled e (sp : Sampling.params) =
         (not (Core.finished c))
         && Core.position c < Trace.length (Core.trace c)
         && Core.retired_instructions c - base.(p) < quota
-        (* [next_event = None] on an unfinished processor means it is
+        (* [next_event = max_int] on an unfinished processor means it is
            only waiting on another processor's barrier arrival: in
            phase-pipelined programs (LU) some processor is always in
            that state, and letting it hold the window open degenerates
@@ -460,7 +537,7 @@ let run_sampled e (sp : Sampling.params) =
            after an event jump a completion scheduled exactly at the
            jump target is not strictly after [e.cycle], and the processor
            would spuriously look barrier-blocked. *)
-        && Core.next_event c ~now:(e.cycle - 1) <> None
+        && Core.next_event c ~now:(e.cycle - 1) <> max_int
       then ok := false
     done;
     !ok
@@ -474,13 +551,13 @@ let run_sampled e (sp : Sampling.params) =
     (* warm-up prefix: detailed, but excluded from the sample *)
     if sp.Sampling.warmup > 0 then
       ignore
-        (advance e Step_event
+        (advance e
            ~stop:(quota_met sp.Sampling.warmup win_start_retired));
     (* measured part of the window *)
     let m0 = snapshot e in
     let m0_retired = retired_now () in
     let live =
-      advance e Step_event
+      advance e
         ~stop:
           (quota_met (sp.Sampling.window - sp.Sampling.warmup) m0_retired)
     in
@@ -506,7 +583,7 @@ let run_sampled e (sp : Sampling.params) =
            two-cycle windows with full per-window setup cost *)
         let base = retired_now () in
         ignore
-          (advance e Step_event
+          (advance e
              ~stop:(fun () ->
                Array.exists2
                  (fun p b -> Core.retired_instructions p > b)
@@ -566,7 +643,8 @@ let run_sampled e (sp : Sampling.params) =
            window opens under steady-state contention rather than on an
            idle memory system *)
         Memsys.shift e.sh.Core.h.Hierarchy.mem ~from:e.cycle ~by:charge;
-        e.cycle <- e.cycle + charge
+        e.cycle <- e.cycle + charge;
+        resync e
       end
     end
   done;
@@ -623,6 +701,8 @@ let run_sampled e (sp : Sampling.params) =
       bank_utilization =
         Memsys.bank_utilization e.sh.Core.h.Hierarchy.mem ~upto:util_span;
       instructions = total_instructions;
+      core_steps = e.core_steps;
+      executed_cycles = e.executed_cycles;
     }
   in
   (result, est)
@@ -636,10 +716,10 @@ let run_estimated ?max_cycles ?watchdog_cycles ?time_budget ?mode
   e.mode_name <- mode_to_string mode;
   match mode with
   | Cycle ->
-      ignore (advance e Step_cycle ~stop:(fun () -> false));
+      run_cycle e;
       (assemble_exact e, None)
   | Event ->
-      ignore (advance e Step_event ~stop:(fun () -> false));
+      ignore (advance e ~stop:(fun () -> false));
       (assemble_exact e, None)
   | Sampled sp ->
       let result, est = run_sampled e sp in

@@ -1,6 +1,8 @@
-(** Multiprocessor simulation driver: lockstep cycle loop over all cores
-    sharing one memory system, with per-cycle MSHR-occupancy sampling
-    (Figure 4) and execution-time breakdowns (Figure 3). *)
+(** Multiprocessor simulation driver: all cores share one memory system,
+    with per-cycle MSHR-occupancy sampling (Figure 4) and execution-time
+    breakdowns (Figure 3). A lockstep cycle loop is the reference; the
+    default event loop steps each core only when it can change (see
+    docs/PERF.md). *)
 
 open Memclust_util
 open Memclust_codegen
@@ -31,15 +33,24 @@ type result = {
   bus_utilization : float;
   bank_utilization : float;
   instructions : int;
+  core_steps : int;
+      (** engine counter: {!Core.step} calls. Cycle mode steps every
+          unfinished core in every cycle; event mode only cores that can
+          change, so the two modes differ here by design *)
+  executed_cycles : int;
+      (** engine counter: cycles the engine visited (the rest were jumped
+          over); in cycle mode, every cycle *)
 }
 
 type mode =
   | Cycle  (** strict cycle-by-cycle loop (the reference semantics) *)
   | Event
-      (** event-driven: when no core can retire, issue, fetch or drain,
-          jump [now] to the earliest pending completion event across all
-          processors, replaying per-cycle statistics for the skipped
-          cycles. Produces bit-identical {!result} values to {!Cycle}. *)
+      (** event-driven: a core whose step changed nothing sleeps until its
+          own next completion event or the next barrier arrival anywhere,
+          and its skipped cycles' statistics are replayed when it wakes;
+          when no core can change, [now] jumps to the earliest wake time.
+          Produces bit-identical {!result} values to {!Cycle}, except for
+          the engine counters [core_steps] and [executed_cycles]. *)
   | Sampled of Sampling.params
       (** systematic sampling: periodic detailed windows (run in event
           mode, with a warm-up prefix excluded from statistics) separated

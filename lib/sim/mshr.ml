@@ -7,30 +7,59 @@ type entry = {
   mutable prefetch_only : bool;  (* allocated by a prefetch, no demand yet *)
 }
 
+let none =
+  { ready = max_int; has_read = false; has_write = false; prefetch_only = false }
+
+(* A file holds at most [cap] entries (the hierarchy checks [full] before
+   inserting), so the in-flight set is two short parallel arrays scanned
+   linearly: a probe allocates nothing, unlike a hash-table lookup that
+   returns an option. At most one entry per line — callers probe before
+   they insert. *)
 type t = {
   cap : int;
-  table : (int, entry) Hashtbl.t;
-  (* min-heap of completion times, kept in sync with [table]: every
+  lines : int array;
+  ents : entry array;
+  mutable n : int;
+  (* min-heap of completion times, kept in sync with the arrays: every
      insertion pushes (ready, line), cleanup pops expired entries, so no
-     per-cycle fold over the table is needed *)
+     per-cycle scan is needed *)
   expiry : int Pqueue.t;
   mutable read_occ : int;  (* entries with [has_read] *)
 }
 
 let create ~cap =
-  { cap; table = Hashtbl.create 32; expiry = Pqueue.create (); read_occ = 0 }
+  {
+    cap;
+    lines = Array.make cap 0;
+    ents = Array.make cap none;
+    n = 0;
+    expiry = Pqueue.create ();
+    read_occ = 0;
+  }
 
 let capacity t = t.cap
-let occupancy t = Hashtbl.length t.table
+let occupancy t = t.n
 let read_occupancy t = t.read_occ
-let is_empty t = Hashtbl.length t.table = 0
-let full t = Hashtbl.length t.table >= t.cap
+let is_empty t = t.n = 0
+let full t = t.n >= t.cap
 
-let find t line = Hashtbl.find_opt t.table line
-let mem t line = Hashtbl.mem t.table line
+let index t line =
+  let i = ref 0 in
+  while !i < t.n && t.lines.(!i) <> line do
+    incr i
+  done;
+  if !i < t.n then !i else -1
+
+let find t line =
+  let i = index t line in
+  if i < 0 then none else t.ents.(i)
+
+let mem t line = index t line >= 0
 
 let insert t ~line e =
-  Hashtbl.add t.table line e;
+  t.lines.(t.n) <- line;
+  t.ents.(t.n) <- e;
+  t.n <- t.n + 1;
   Pqueue.push t.expiry e.ready line;
   if e.has_read then t.read_occ <- t.read_occ + 1
 
@@ -43,13 +72,16 @@ let note_read t = t.read_occ <- t.read_occ + 1
 let cleanup t ~now =
   let any = ref false in
   while Pqueue.min_prio t.expiry <= now do
-    let line = Pqueue.min_value t.expiry in
+    let i = index t (Pqueue.min_value t.expiry) in
     Pqueue.drop_min t.expiry;
-    (match Hashtbl.find_opt t.table line with
-    | Some e ->
-        if e.has_read then t.read_occ <- t.read_occ - 1;
-        Hashtbl.remove t.table line
-    | None -> ());
+    if i >= 0 then begin
+      if t.ents.(i).has_read then t.read_occ <- t.read_occ - 1;
+      let last = t.n - 1 in
+      t.lines.(i) <- t.lines.(last);
+      t.ents.(i) <- t.ents.(last);
+      t.ents.(last) <- none;
+      t.n <- last
+    end;
     any := true
   done;
   !any
@@ -57,6 +89,7 @@ let cleanup t ~now =
 let next_ready t = Pqueue.min_prio t.expiry
 
 let reset t =
-  Hashtbl.reset t.table;
+  Array.fill t.ents 0 t.n none;
+  t.n <- 0;
   Pqueue.clear t.expiry;
   t.read_occ <- 0

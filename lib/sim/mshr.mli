@@ -34,16 +34,22 @@ val read_occupancy : t -> int
 val is_empty : t -> bool
 val full : t -> bool
 
-val find : t -> int -> entry option
-(** In-flight entry covering the given line, if any (coalescing probe). *)
+val none : entry
+(** The "no entry" sentinel returned by {!find}. Compare with [==]; never
+    mutate it or insert it. *)
+
+val find : t -> int -> entry
+(** In-flight entry covering the given line, or {!none} (coalescing
+    probe; allocation-free). *)
 
 val mem : t -> int -> bool
-(** Allocation-free [find <> None]. *)
+(** [find t line != none]. *)
 
 val insert : t -> line:int -> entry -> unit
 (** Add an entry under [line] and schedule its expiry at [entry.ready];
     counts toward {!read_occupancy} if [has_read] is already set. The
-    caller checks {!full} first. *)
+    caller checks {!full} first and never inserts a line already in
+    flight ({!find} it first). *)
 
 val note_read : t -> unit
 (** An in-flight entry just gained its first demand read (the caller

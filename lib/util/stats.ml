@@ -85,31 +85,36 @@ module Acc = struct
 end
 
 module Histogram = struct
-  type t = { buckets : float array; mutable total : float }
+  (* the total sits in a float-only record, which stores it unboxed: a
+     float field of a mixed record would box a fresh float per [add], and
+     the simulator adds twice per processor per cycle *)
+  type sum = { mutable total : float }
+  type t = { buckets : float array; sum : sum }
 
   let create n =
     assert (n > 0);
-    { buckets = Array.make n 0.0; total = 0.0 }
+    { buckets = Array.make n 0.0; sum = { total = 0.0 } }
 
-  let add_weighted t v w =
+  let add_times t v times =
+    let w = float_of_int times in
     let n = Array.length t.buckets in
     let i = if v < 0 then 0 else if v >= n then n - 1 else v in
     t.buckets.(i) <- t.buckets.(i) +. w;
-    t.total <- t.total +. w
+    t.sum.total <- t.sum.total +. w
 
-  let add t v = add_weighted t v 1.0
+  let add t v = add_times t v 1
 
-  let total t = t.total
+  let total t = t.sum.total
 
   let fraction_at_least t k =
-    if t.total = 0.0 then 0.0
+    if t.sum.total = 0.0 then 0.0
     else begin
       let acc = ref 0.0 in
       let n = Array.length t.buckets in
       for i = max 0 k to n - 1 do
         acc := !acc +. t.buckets.(i)
       done;
-      !acc /. t.total
+      !acc /. t.sum.total
     end
 
   let bucket t i = t.buckets.(i)

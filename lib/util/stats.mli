@@ -47,7 +47,10 @@ module Histogram : sig
   val add : t -> int -> unit
   (** Record one observation with weight 1. *)
 
-  val add_weighted : t -> int -> float -> unit
+  val add_times : t -> int -> int -> unit
+  (** [add_times h v n] records [n] observations of [v]: the same as [n]
+      calls of [add] while the total stays an exact integer (below
+      2^53). Neither allocates. *)
 
   val total : t -> float
 

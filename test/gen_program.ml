@@ -7,7 +7,12 @@
    - regular affine accesses (with random row/column/diagonal shapes and
      constant offsets), plus optional indirect accesses through a
      non-negative integer index array;
-   - accumulator statements, temporaries, stores and conditionals. *)
+   - accumulator statements, temporaries, stores and conditionals.
+
+   [arbitrary] keeps the outer loop serial and targets one processor (the
+   transformation fuzzers depend on that); [arbitrary_mp] may mark the
+   outer loop [parallel] and picks 1, 2, 4 or 8 processors, so lowering
+   splits its iterations and inserts barriers (simulator fuzzing). *)
 
 open Memclust_ir
 open Ast
@@ -17,14 +22,23 @@ type cfg = {
   cols : int;
   stmts : int;  (* inner-body statements *)
   seed : int;
+  parallel : bool;  (* outer loop marked parallel *)
+  nprocs : int;  (* processors to lower for *)
 }
 
 let cfg_gen =
   QCheck.Gen.(
     map2
-      (fun (rows, cols) (stmts, seed) -> { rows; cols; stmts; seed })
+      (fun (rows, cols) (stmts, seed) ->
+        { rows; cols; stmts; seed; parallel = false; nprocs = 1 })
       (pair (int_range 3 24) (int_range 3 24))
       (pair (int_range 1 5) (int_range 0 1_000_000)))
+
+let mp_gen =
+  QCheck.Gen.(
+    map3
+      (fun c parallel nprocs -> { c with parallel; nprocs })
+      cfg_gen bool (oneofl [ 1; 2; 4; 8 ]))
 
 let arrays = [ "m0"; "m1"; "m2" ]
 
@@ -152,7 +166,7 @@ let build (c : cfg) =
               lo = Affine.const 0;
               hi = Affine.const c.rows;
               step = 1;
-              parallel = false;
+              parallel = c.parallel;
               body =
                 [
                   Loop
@@ -188,7 +202,9 @@ let init (c : cfg) data =
     Data.set data "acc" i (Vfloat 0.0)
   done
 
-let arbitrary =
-  QCheck.make cfg_gen ~print:(fun c ->
-      Printf.sprintf "rows=%d cols=%d stmts=%d seed=%d" c.rows c.cols c.stmts
-        c.seed)
+let print c =
+  Printf.sprintf "rows=%d cols=%d stmts=%d seed=%d parallel=%b nprocs=%d"
+    c.rows c.cols c.stmts c.seed c.parallel c.nprocs
+
+let arbitrary = QCheck.make cfg_gen ~print
+let arbitrary_mp = QCheck.make mp_gen ~print

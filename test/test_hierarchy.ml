@@ -76,9 +76,10 @@ let test_mshr_coalesce () =
   Mshr.insert m ~line:5 (entry ());
   Alcotest.(check int) "one entry" 1 (Mshr.occupancy m);
   Alcotest.(check bool) "coalescing probe finds it" true (Mshr.mem m 5);
-  (match Mshr.find m 5 with
-  | None -> Alcotest.fail "find lost the entry"
-  | Some e -> Alcotest.(check int) "ready preserved" 100 e.Mshr.ready);
+  let e = Mshr.find m 5 in
+  if e == Mshr.none then Alcotest.fail "find lost the entry";
+  Alcotest.(check int) "ready preserved" 100 e.Mshr.ready;
+  Alcotest.(check bool) "absent line: sentinel" true (Mshr.find m 6 == Mshr.none);
   Alcotest.(check bool) "other lines miss" false (Mshr.mem m 6);
   Alcotest.(check int) "read occupancy" 1 (Mshr.read_occupancy m)
 
@@ -123,20 +124,20 @@ let complete h t =
   (* retire the miss that completes at [t] *)
   ignore (Hierarchy.cleanup h ~now:t)
 
+(* the completion cycle of an access that must not be rejected *)
+let accepted what t = if t = Hierarchy.retry then Alcotest.fail what else t
+
 let test_hierarchy_miss_then_hit () =
   let h = mk_hier () in
   Alcotest.(check int) "depth follows config" 2 (Hierarchy.depth h);
-  (match Hierarchy.read h ~now:0 0x40000 with
-  | None -> Alcotest.fail "cold miss must allocate"
-  | Some t ->
-      Alcotest.(check bool) "memory-latency completion" true
-        (t >= Config.base.Config.mem_lat);
-      complete h t);
+  let t = accepted "cold miss must allocate" (Hierarchy.read h ~now:0 0x40000) in
+  Alcotest.(check bool) "memory-latency completion" true
+    (t >= Config.base.Config.mem_lat);
+  complete h t;
   Alcotest.(check int) "one memory miss" 1 (Hierarchy.mem_misses h);
   (* after the fill, the same line hits the first level at its latency *)
-  (match Hierarchy.read h ~now:200 0x40000 with
-  | None -> Alcotest.fail "filled line must hit"
-  | Some t -> Alcotest.(check int) "L1 hit latency" 201 t);
+  Alcotest.(check int) "L1 hit latency" 201
+    (accepted "filled line must hit" (Hierarchy.read h ~now:200 0x40000));
   Alcotest.(check int) "still one memory miss" 1 (Hierarchy.mem_misses h);
   let stats = Hierarchy.level_stats h in
   Alcotest.(check int) "L1: one hit" 1 stats.(0).Breakdown.lv_hits;
@@ -150,31 +151,24 @@ let test_hierarchy_intermediate_hit () =
   (* base L1 is 16 KB direct-mapped: warming addr+16K evicts 0x40000 from
      the L1; the 64 KB 4-way L2 keeps both *)
   Hierarchy.warm_read h (0x40000 + (16 * 1024));
-  (match Hierarchy.read h ~now:0 0x40000 with
-  | None -> Alcotest.fail "L2-resident line must hit"
-  | Some t ->
-      let l2_lat = (List.nth (Config.levels Config.base) 1).Config.lat in
-      Alcotest.(check int) "completes at the L2 latency" l2_lat t);
+  let l2_lat = (List.nth (Config.levels Config.base) 1).Config.lat in
+  Alcotest.(check int) "completes at the L2 latency" l2_lat
+    (accepted "L2-resident line must hit" (Hierarchy.read h ~now:0 0x40000));
   Alcotest.(check int) "no memory traffic" 0 (Hierarchy.mem_misses h);
   let stats = Hierarchy.level_stats h in
   Alcotest.(check int) "L1 missed" 1 stats.(0).Breakdown.lv_misses;
   Alcotest.(check int) "L2 hit" 1 stats.(1).Breakdown.lv_hits;
   (* the hit refilled the L1: the next access hits at the top *)
-  match Hierarchy.read h ~now:100 0x40000 with
-  | None -> Alcotest.fail "refilled line must hit"
-  | Some t -> Alcotest.(check int) "back to L1 latency" 101 t
+  Alcotest.(check int) "back to L1 latency" 101
+    (accepted "refilled line must hit" (Hierarchy.read h ~now:100 0x40000))
 
 let test_hierarchy_coalesce () =
   let h = mk_hier () in
-  let t1 =
-    match Hierarchy.read h ~now:0 0x40000 with
-    | Some t -> t
-    | None -> Alcotest.fail "first miss rejected"
-  in
+  let t1 = accepted "first miss rejected" (Hierarchy.read h ~now:0 0x40000) in
   (* same line, different byte: coalesces onto the in-flight miss *)
-  (match Hierarchy.read h ~now:3 (0x40000 + 8) with
-  | None -> Alcotest.fail "coalesced access rejected"
-  | Some t2 -> Alcotest.(check int) "same completion" t1 t2);
+  Alcotest.(check int) "same completion" t1
+    (accepted "coalesced access rejected"
+       (Hierarchy.read h ~now:3 (0x40000 + 8)));
   Alcotest.(check int) "one memory miss for the line" 1
     (Hierarchy.mem_misses h);
   Alcotest.(check int) "one entry outstanding" 1 (Hierarchy.total_occupancy h);
@@ -186,21 +180,18 @@ let test_hierarchy_mshr_full () =
   ignore (Hierarchy.read h ~now:0 0x40000);
   ignore (Hierarchy.read h ~now:0 0x50000);
   Alcotest.(check int) "two in flight" 2 (Hierarchy.total_occupancy h);
-  (match Hierarchy.read h ~now:0 0x60000 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "third distinct line must be rejected at lp=2");
+  Alcotest.(check int) "third distinct line rejected at lp=2" Hierarchy.retry
+    (Hierarchy.read h ~now:0 0x60000);
   Alcotest.(check int) "rejection counted" 1 (Hierarchy.mshr_full_events h);
   (* a same-line access still coalesces while the file is full *)
-  match Hierarchy.read h ~now:0 (0x40000 + 16) with
-  | None -> Alcotest.fail "coalescing must bypass the capacity check"
-  | Some _ -> ()
+  ignore
+    (accepted "coalescing must bypass the capacity check"
+       (Hierarchy.read h ~now:0 (0x40000 + 16)))
 
 let test_hierarchy_three_level_stats () =
   let h = mk_hier ~cfg:Config.three_level () in
   Alcotest.(check int) "three levels" 3 (Hierarchy.depth h);
-  (match Hierarchy.read h ~now:0 0x40000 with
-  | Some t -> complete h t
-  | None -> Alcotest.fail "cold miss rejected");
+  complete h (accepted "cold miss rejected" (Hierarchy.read h ~now:0 0x40000));
   let stats = Hierarchy.level_stats h in
   Alcotest.(check int) "stats row per level" 3 (Array.length stats);
   Array.iteri
@@ -210,9 +201,8 @@ let test_hierarchy_three_level_stats () =
         1 s.Breakdown.lv_misses)
     stats;
   (* warm hit at the top afterwards *)
-  (match Hierarchy.read h ~now:500 0x40000 with
-  | Some t -> Alcotest.(check int) "L1 hit" 501 t
-  | None -> Alcotest.fail "filled line rejected");
+  Alcotest.(check int) "L1 hit" 501
+    (accepted "filled line rejected" (Hierarchy.read h ~now:500 0x40000));
   Alcotest.(check int) "single memory miss" 1 (Hierarchy.mem_misses h)
 
 let test_hierarchy_prefetch_coalesce () =
@@ -222,9 +212,8 @@ let test_hierarchy_prefetch_coalesce () =
   Alcotest.(check int) "prefetch went to memory" 1
     (Hierarchy.prefetch_misses h);
   (* the demand read catches the in-flight prefetch *)
-  (match Hierarchy.read h ~now:1 0x40000 with
-  | None -> Alcotest.fail "late prefetch must coalesce"
-  | Some _ -> ());
+  ignore
+    (accepted "late prefetch must coalesce" (Hierarchy.read h ~now:1 0x40000));
   Alcotest.(check int) "late prefetch counted" 1 (Hierarchy.late_prefetches h);
   Alcotest.(check int) "no separate demand miss" 0 (Hierarchy.read_misses h)
 

@@ -376,6 +376,22 @@ let run_mode ?(cfg = Config.base) mode traces barriers =
   in
   Machine.run ~mode cfg ~home:(fun _ -> 0) lowered
 
+let releaser =
+  [
+    (Trace.Load, 0x40000, -1, -1);
+    (Trace.Load, 0x50000, 0, -1);
+    (Trace.Barrier_op, 1, -1, -1);
+    (Trace.Int_op, 1, -1, -1);
+  ]
+
+let waiter =
+  [
+    (Trace.Prefetch_op, 0x90000, -1, -1);
+    (Trace.Int_op, 1, -1, -1);
+    (Trace.Barrier_op, 1, -1, -1);
+    (Trace.Int_op, 1, -1, -1);
+  ]
+
 let equivalence_scenarios =
   [
     ("single miss", [ [ (Trace.Load, 0x40000, -1, -1) ] ], 0);
@@ -431,6 +447,18 @@ let equivalence_scenarios =
           (Trace.Barrier_op, 2, -1, -1) ];
       ],
       2 );
+    (* a processor waits at the barrier with a prefetch still in flight:
+       it idles until the fill lands, idles again with nothing pending,
+       and is released in the cycle the other processor's dependent miss
+       pair retires into the barrier — by a lower-index processor (seen
+       the same cycle), then by a higher-index one (seen the next) *)
+    ( "barrier released by a lower-index proc",
+      [ releaser; waiter ],
+      1 );
+    ("barrier released by a higher-index proc", [ waiter; releaser ], 1);
+    ( "barrier released by the middle proc",
+      [ waiter; releaser; waiter ],
+      1 );
   ]
 
 let test_event_equals_cycle_hand () =
@@ -455,17 +483,21 @@ let test_event_equals_cycle_three_level () =
       check_results_equal rc re)
     equivalence_scenarios
 
-(* random whole programs, lowered and simulated in both modes *)
+(* random whole programs, lowered and simulated in both modes; a parallel
+   outer loop on several processors brings in barriers and remote/dirty
+   misses *)
 let run_program_mode mode (c : Gen_program.cfg) =
   let p = Gen_program.build c in
   let data = Memclust_ir.Data.create p in
   Gen_program.init c data;
-  let lowered = Lower.build ~nprocs:1 p data in
-  Machine.run ~mode Config.base ~home:(fun _ -> 0) lowered
+  let nprocs = c.Gen_program.nprocs in
+  let lowered = Lower.build ~nprocs p data in
+  let home = Memclust_ir.Data.home_of_addr data ~nprocs in
+  Machine.run ~mode Config.base ~home lowered
 
 let prop_event_equals_cycle =
   QCheck.Test.make ~count:200 ~name:"event mode ≡ cycle mode (random programs)"
-    Gen_program.arbitrary (fun c ->
+    Gen_program.arbitrary_mp (fun c ->
       let rc = run_program_mode Machine.Cycle c in
       let re = run_program_mode Machine.Event c in
       check_results_equal rc re;
@@ -473,7 +505,7 @@ let prop_event_equals_cycle =
 
 let prop_event_deterministic =
   QCheck.Test.make ~count:50 ~name:"event mode deterministic (same cfg twice)"
-    Gen_program.arbitrary (fun c ->
+    Gen_program.arbitrary_mp (fun c ->
       let r1 = run_program_mode Machine.Event c in
       let r2 = run_program_mode Machine.Event c in
       check_results_equal r1 r2;
@@ -490,6 +522,40 @@ let test_deadlock_guard_event () =
        false
      with Memclust_util.Error.Error (Memclust_util.Error.Sim_deadlock _) ->
        true)
+
+(* Event mode steps a core only when it can change, and a step allocates
+   nothing beyond the MSHR entry of a new memory miss and a write-buffer
+   cell per store. Erlebacher at p=4 measures 15.3 minor-heap bytes per
+   simulated cycle (64-bit); the bound leaves ~55 % slack, while
+   reintroducing a two-word allocation (a boxed float, a [Some]) per core
+   step adds ~12 B/cycle here, and a closure or a tuple more. *)
+let alloc_bytes_per_cycle_bound = 24.0
+
+let test_event_alloc_bound () =
+  let open Memclust_workloads in
+  let w =
+    List.find
+      (fun (w : Workload.t) -> w.Workload.name = "Erlebacher")
+      (Registry.small ())
+  in
+  let nprocs = 4 in
+  let program = Memclust_ir.Program.renumber w.Workload.program in
+  let cfg = Config.with_l2 w.Workload.l2_bytes Config.base in
+  let data = Memclust_ir.Data.create program in
+  w.Workload.init data;
+  let lowered = Lower.build ~nprocs program data in
+  let home = Memclust_ir.Data.home_of_addr data ~nprocs in
+  let before = Gc.minor_words () in
+  let r = Machine.run cfg ~mode:Machine.Event ~home lowered in
+  let bytes = (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) in
+  let per_cycle = bytes /. float_of_int r.Machine.cycles in
+  if per_cycle > alloc_bytes_per_cycle_bound then
+    Alcotest.failf "event mode allocated %.1f B per simulated cycle (bound %.1f)"
+      per_cycle alloc_bytes_per_cycle_bound;
+  (* the engine counters: lockstep stepping takes ~4 core steps per
+     executed cycle at p=4, event mode ~1.4 here *)
+  Alcotest.(check bool) "cores sleep" true
+    (r.Machine.core_steps < 3 * r.Machine.executed_cycles)
 
 (* --------------------------- sampled mode --------------------------- *)
 
@@ -698,6 +764,8 @@ let () =
             test_deadlock_guard_event;
           QCheck_alcotest.to_alcotest prop_event_equals_cycle;
           QCheck_alcotest.to_alcotest prop_event_deterministic;
+          Alcotest.test_case "allocation per simulated cycle" `Quick
+            test_event_alloc_bound;
         ] );
       ( "prefetch",
         [
