@@ -63,7 +63,7 @@ let run_experiments ids =
      %!"
     (Unix.gettimeofday () -. t0)
     (List.length ids)
-    (Machine.mode_to_string (Machine.default_mode ()))
+    (Machine.mode_to_string (Machine.resolve_mode Config.base))
     (Memclust_util.Domain_pool.size (Memclust_util.Domain_pool.default ()))
 
 (* ------------------------------------------------------------------ *)

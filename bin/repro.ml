@@ -16,15 +16,14 @@ open Memclust_sim
 open Memclust_workloads
 open Memclust_harness
 
-(* --sim-mode / --sample-period: exported through MEMCLUST_SIM_MODE so the
-   choice reaches every Config the harness builds internally (Figures
-   constructs its own), via Machine.resolve_mode's env fallback. *)
+(* Run settings: the seven flags below build one Settings.t, validated
+   here so a typo fails fast instead of deep inside a worker domain, and
+   passed down to the harness as an argument. *)
 
 let sim_mode_arg =
   let doc =
     "Simulation mode: $(b,cycle), $(b,event) or \
-     $(b,sampled)[:PERIOD:WINDOW[:WARMUP]]. Defaults to the \
-     $(b,MEMCLUST_SIM_MODE) environment variable, else event."
+     $(b,sampled)[:PERIOD:WINDOW[:WARMUP]]. Defaults to event."
   in
   Arg.(value & opt (some string) None & info [ "sim-mode" ] ~docv:"MODE" ~doc)
 
@@ -36,7 +35,7 @@ let sample_period_arg =
   in
   Arg.(value & opt (some int) None & info [ "sample-period" ] ~docv:"N" ~doc)
 
-let apply_sim_flags mode period =
+let with_sim_flags (settings : Settings.t) mode period =
   let s =
     match (period, mode) with
     | None, m -> m
@@ -54,10 +53,10 @@ let apply_sim_flags mode period =
         exit 1
   in
   match s with
-  | None -> ()
+  | None -> settings
   | Some s -> (
       match Machine.mode_of_string s with
-      | Some _ -> Unix.putenv "MEMCLUST_SIM_MODE" s
+      | Some m -> { settings with Settings.sim_mode = Some m }
       | None ->
           Printf.eprintf
             "bad simulation mode %s (cycle, event or \
@@ -65,17 +64,11 @@ let apply_sim_flags mode period =
             s;
           exit 1)
 
-(* Resilience flags, exported the same way: environment variables are the
-   only channel that reaches Machines and Pipelines constructed deep
-   inside the harness (Figures builds its own Configs; Experiment builds
-   its own pass options). Each value is validated here so a typo fails
-   fast instead of deep inside a worker domain. *)
-
 let watchdog_arg =
   let doc =
     "Simulator forward-progress watchdog: abort (with a state dump) any \
-     simulation making no progress for $(docv) cycles. Defaults to the \
-     $(b,MEMCLUST_WATCHDOG_CYCLES) environment variable, else 1000000."
+     simulation making no progress for $(docv) cycles. Defaults to \
+     1000000."
   in
   Arg.(value & opt (some int) None & info [ "watchdog-cycles" ] ~docv:"N" ~doc)
 
@@ -91,7 +84,7 @@ let faults_arg =
   let doc =
     "Deterministic memory-system fault injection: $(b,SEED[:RATE]) \
      (delayed fills at RATE, NACKs and bank stalls at RATE/2; RATE \
-     defaults to 0.05). Same syntax as $(b,MEMCLUST_FAULTS)."
+     defaults to 0.05)."
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SEED[:RATE]" ~doc)
 
@@ -99,8 +92,7 @@ let chaos_arg =
   let doc =
     "Chaos-test the clustering pipeline: sabotage passes (crash or \
      corrupt, drawn from SEED) with probability RATE (default 0.25). The \
-     fail-safe pipeline must degrade, never crash or mis-transform. Same \
-     syntax as $(b,MEMCLUST_CHAOS_PASSES)."
+     fail-safe pipeline must degrade, never crash or mis-transform."
   in
   Arg.(
     value & opt (some string) None & info [ "chaos-passes" ] ~docv:"SEED[:RATE]" ~doc)
@@ -109,47 +101,53 @@ let fail_pass_arg =
   let doc =
     "Unconditionally corrupt the named clustering pass (resilience demo: \
      the run must complete with that pass rolled back and recorded as \
-     degraded). Same as $(b,MEMCLUST_FAIL_PASS)."
+     degraded)."
   in
   Arg.(value & opt (some string) None & info [ "fail-pass" ] ~docv:"PASS" ~doc)
 
-let apply_resilience_flags watchdog budget faults chaos fail_pass =
+let resilience_settings watchdog budget faults chaos fail_pass =
   let bad fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n" s; exit 1) fmt in
   Option.iter
-    (fun n ->
-      if n <= 0 then bad "--watchdog-cycles must be positive (got %d)" n;
-      Unix.putenv "MEMCLUST_WATCHDOG_CYCLES" (string_of_int n))
+    (fun n -> if n <= 0 then bad "--watchdog-cycles must be positive (got %d)" n)
     watchdog;
   Option.iter
-    (fun s ->
-      if s < 0.0 then bad "--time-budget must be >= 0 (got %g)" s;
-      Unix.putenv "MEMCLUST_TIME_BUDGET_S" (string_of_float s))
+    (fun s -> if s < 0.0 then bad "--time-budget must be >= 0 (got %g)" s)
     budget;
-  Option.iter
-    (fun s ->
-      (match Faults.of_string s with
-      | Ok _ -> ()
-      | Error e -> bad "bad --faults %s: %s" s e);
-      Unix.putenv "MEMCLUST_FAULTS" s)
-    faults;
-  Option.iter
-    (fun s ->
-      Unix.putenv "MEMCLUST_CHAOS_PASSES" s;
-      try ignore (Memclust_cluster.Pass.chaos_of_env ())
-      with Invalid_argument m -> bad "bad --chaos-passes %s: %s" s m)
-    chaos;
+  let faults =
+    Option.map
+      (fun s ->
+        match Faults.of_string s with
+        | Ok p -> p
+        | Error e -> bad "bad --faults %s: %s" s e)
+      faults
+  in
+  let chaos =
+    try Memclust_cluster.Pass.chaos_of_strings ~spec:chaos ~fail_pass
+    with Invalid_argument m ->
+      bad "bad --chaos-passes %s: %s" (Option.value chaos ~default:"") m
+  in
   Option.iter
     (fun p ->
       if not (List.mem p Memclust_cluster.Driver.pass_names) then
         bad "unknown --fail-pass %s (have: %s)" p
-          (String.concat ", " Memclust_cluster.Driver.pass_names);
-      Unix.putenv "MEMCLUST_FAIL_PASS" p)
-    fail_pass
+          (String.concat ", " Memclust_cluster.Driver.pass_names))
+    fail_pass;
+  {
+    Settings.default with
+    Settings.faults;
+    chaos;
+    watchdog_cycles = watchdog;
+    time_budget = budget;
+  }
 
 let resilience_term =
   Term.(
-    const apply_resilience_flags $ watchdog_arg $ time_budget_arg $ faults_arg
+    const resilience_settings $ watchdog_arg $ time_budget_arg $ faults_arg
     $ chaos_arg $ fail_pass_arg)
+
+(* the resilience flags plus --sim-mode / --sample-period *)
+let settings_term =
+  Term.(const with_sim_flags $ resilience_term $ sim_mode_arg $ sample_period_arg)
 
 let list_cmd =
   let doc = "List experiment ids and workloads." in
@@ -175,8 +173,7 @@ let experiment_cmd =
     in
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR" ~doc)
   in
-  let run () mode period ckpt ids =
-    apply_sim_flags mode period;
+  let run settings ckpt ids =
     List.iter
       (fun id ->
         if not (List.mem id Figures.all_ids) then begin
@@ -184,7 +181,7 @@ let experiment_cmd =
           exit 1
         end)
       ids;
-    let ck = Option.map Checkpoint.create ckpt in
+    let ck = Option.map (Checkpoint.create ~settings) ckpt in
     (* one wedged artifact degrades; the others still run and checkpoint *)
     let degraded =
       List.filter_map
@@ -194,7 +191,7 @@ let experiment_cmd =
               Printf.printf "==== %s (from checkpoint) ====\n%s\n\n%!" id text;
               None
           | None -> (
-              match Figures.run_safe id with
+              match Figures.run_safe ~settings id with
               | Ok text ->
                   Printf.printf "==== %s ====\n%s\n\n%!" id text;
                   Option.iter (fun c -> Checkpoint.save c id text) ck;
@@ -217,8 +214,7 @@ let experiment_cmd =
   in
   Cmd.v (Cmd.info "experiment" ~doc)
     Term.(
-      const run $ resilience_term $ sim_mode_arg $ sample_period_arg
-      $ checkpoint_arg $ ids)
+      const run $ settings_term $ checkpoint_arg $ ids)
 
 let workload_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
@@ -235,13 +231,12 @@ let lookup name =
 
 let run_cmd =
   let doc = "Simulate one workload, base vs clustered, and report." in
-  let run () name procs mode period =
-    apply_sim_flags mode period;
+  let run settings name procs =
     let w = lookup name in
     let nprocs = Option.value ~default:w.Workload.mp_procs procs in
     let go version =
       match
-        Experiment.execute_result
+        Experiment.execute_result ~settings
           { Experiment.workload = w; config = Config.base; nprocs; version }
       with
       | Ok o -> o
@@ -289,7 +284,8 @@ let run_cmd =
         o.Experiment.result.Machine.executed_cycles
     in
     Format.printf "engine (%s): base %s; clustered %s@."
-      (Machine.mode_to_string (Machine.resolve_mode Config.base))
+      (Machine.mode_to_string
+         (Machine.resolve_mode (Settings.config settings Config.base)))
       (engine b) (engine c);
     let ci label (o : Experiment.outcome) =
       match o.Experiment.estimate with
@@ -306,8 +302,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ resilience_term $ workload_arg $ procs_arg $ sim_mode_arg
-      $ sample_period_arg)
+      const run $ settings_term $ workload_arg $ procs_arg)
 
 (* lp / line-size sensitivity sweep: re-cluster and re-simulate the
    workload for every (MSHR count, line size) point. The clustering
@@ -345,8 +340,7 @@ let sweep_cmd =
     Arg.(
       value & opt string "BENCH_sweep.json" & info [ "o"; "out" ] ~docv:"FILE" ~doc)
   in
-  let run () names mshrs lines out mode period =
-    apply_sim_flags mode period;
+  let run settings names mshrs lines out =
     let ws =
       match names with [] -> [ Registry.latbench () ] | ns -> List.map lookup ns
     in
@@ -382,7 +376,7 @@ let sweep_cmd =
           List.map
             (fun (m, l, cfg) ->
               let go version =
-                Experiment.execute_cached
+                Experiment.execute_cached ~settings
                   { Experiment.workload = w; config = cfg; nprocs; version }
               in
               let b = go Experiment.Base in
@@ -416,8 +410,8 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const run $ resilience_term $ workloads_arg $ mshrs_arg $ line_arg
-      $ out_arg $ sim_mode_arg $ sample_period_arg)
+      const run $ settings_term $ workloads_arg $ mshrs_arg $ line_arg
+      $ out_arg)
 
 let analyze_cmd =
   let doc =
@@ -531,7 +525,7 @@ let trace_cmd =
     let doc = "Write the traces as a JSON array to $(docv)." in
     Arg.(value & opt (some string) None & info [ "trace-json" ] ~docv:"FILE" ~doc)
   in
-  let run () names only dump_after json_file =
+  let run settings names only dump_after json_file =
     let open Memclust_cluster in
     let check_pass n =
       if not (List.mem n Driver.pass_names) then begin
@@ -551,7 +545,8 @@ let trace_cmd =
       List.map
         (fun (w : Workload.t) ->
           let options =
-            { Driver.default_options with Driver.machine = machine_for w }
+            Settings.options settings
+              { Driver.default_options with Driver.machine = machine_for w }
           in
           let observe =
             Option.map

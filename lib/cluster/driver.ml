@@ -635,7 +635,13 @@ let select_passes only =
 
 let run ?(options = default_options) ?init ?only ?observe (p : program) =
   let ctx = { Pass.options; init } in
-  let p', trace = Pass.Pipeline.run ?observe ctx (select_passes only) p in
+  let passes = select_passes only in
+  let passes =
+    match options.chaos with
+    | Some c -> Pass.with_chaos c p passes
+    | None -> passes
+  in
+  let p', trace = Pass.Pipeline.run ?observe ctx passes p in
   (p', report_of_trace trace)
 
 let pp_action = Pass.pp_action

@@ -76,7 +76,9 @@ type options = Pass.options = {
   failsafe : bool;
       (** guard every pass, rolling back failures as degraded (default;
           see {!Pass.Pipeline.run}) *)
-  chaos : chaos option;  (** sabotage injection (default [None]) *)
+  chaos : chaos option;
+      (** sabotage injection (default [None]): {!run} wraps the passes
+          with {!Pass.with_chaos} *)
 }
 
 val default_options : options

@@ -48,24 +48,14 @@ let default_options =
     chaos = None;
   }
 
-(* "SEED[:RATE]" in MEMCLUST_CHAOS_PASSES (rate defaults to 0.25), plus
-   MEMCLUST_FAIL_PASS naming one pass to sabotage unconditionally. The
-   environment route exists so the repro CLI can reach pipelines built
-   deep inside the harness, mirroring MEMCLUST_SIM_MODE. *)
-let chaos_of_env () =
-  let fail_pass =
-    match Sys.getenv_opt "MEMCLUST_FAIL_PASS" with
-    | None | Some "" -> None
-    | Some s -> Some s
-  in
-  let spec =
-    match Sys.getenv_opt "MEMCLUST_CHAOS_PASSES" with
-    | None | Some "" -> None
-    | Some s -> Some s
-  in
-  match (spec, fail_pass) with
+(* "SEED[:RATE]" (rate defaults to 0.25) for the per-pass sabotage
+   draw, plus a pass name to sabotage unconditionally; empty strings
+   count as absent. *)
+let chaos_of_strings ~spec ~fail_pass =
+  let present = function None | Some "" -> None | Some s -> Some s in
+  match (present spec, present fail_pass) with
   | None, None -> None
-  | _ ->
+  | spec, fail_pass ->
       let chaos_seed, chaos_rate =
         match spec with
         | None -> (0, 0.0)
@@ -254,6 +244,62 @@ let replace_loop ~var ~repl stmt =
   in
   go stmt
 
+(* Chaos corruption: remove the first assignment, searching depth-first
+   — most workloads are one big top-level nest, so dropping a top-level
+   statement would usually be a no-op. The result stays structurally
+   valid but is semantically wrong, which is exactly what the
+   differential guard must catch. *)
+let corrupt_program (p : program) =
+  let removed = ref false in
+  let rec drop ss =
+    match ss with
+    | [] -> []
+    | _ when !removed -> ss
+    | Assign _ :: rest ->
+        removed := true;
+        rest
+    | Loop l :: rest -> Loop { l with body = drop l.body } :: drop rest
+    | Chase c :: rest -> Chase { c with cbody = drop c.cbody } :: drop rest
+    | If (e, t, f) :: rest ->
+        let t = drop t in
+        let f = drop f in
+        If (e, t, f) :: drop rest
+    | s :: rest -> s :: drop rest
+  in
+  let body = drop p.body in
+  if !removed then { p with body }
+  else
+    (* no assignment anywhere: drop whatever statement comes first *)
+    match p.body with _ :: rest -> { p with body = rest } | [] -> p
+
+(* Sabotage wraps each pass's rewrite: a hit either raises mid-rewrite or
+   ships the real result minus one assignment, and the pipeline's guard
+   must contain both. One stream per run, seeded from the program name,
+   draws a float then a bool each time a wrapped pass runs (the pipeline
+   calls [rewrite] for enabled passes only). uniquify is never sabotaged:
+   every later pass keys nests by the globally-unique loop variables it
+   establishes. *)
+let with_chaos c (p : program) passes =
+  let rng = Memclust_util.Rng.create (c.chaos_seed lxor Hashtbl.hash p.p_name) in
+  List.map
+    (fun pass ->
+      if String.equal pass.name "uniquify" then pass
+      else
+        let rewrite ctx prog =
+          let forced = Option.equal String.equal c.fail_pass (Some pass.name) in
+          let hit =
+            c.chaos_rate > 0.0 && Memclust_util.Rng.float rng 1.0 < c.chaos_rate
+          in
+          let crash = Memclust_util.Rng.bool rng in
+          if hit && crash && not forced then
+            failwith (Printf.sprintf "%s: chaos-injected crash" pass.name)
+          else
+            let p', events = pass.rewrite ctx prog in
+            if forced || hit then (corrupt_program p', events) else (p', events)
+        in
+        { pass with rewrite })
+    passes
+
 (* ------------------------------------------------------------------ *)
 (* The pipeline combinator                                             *)
 (* ------------------------------------------------------------------ *)
@@ -338,48 +384,12 @@ module Pipeline = struct
   let diff_ref_max_ops = 64_000_000
   let diff_cand_max_ops = 128_000_000
 
-  (* Chaos corruption: remove the first assignment, searching depth-first
-     — most workloads are one big top-level nest, so dropping a top-level
-     statement would usually be a no-op. The result stays structurally
-     valid but is semantically wrong, which is exactly what the
-     differential guard must catch. *)
-  let corrupt_program (p : program) =
-    let removed = ref false in
-    let rec drop ss =
-      match ss with
-      | [] -> []
-      | _ when !removed -> ss
-      | Assign _ :: rest ->
-          removed := true;
-          rest
-      | Loop l :: rest -> Loop { l with body = drop l.body } :: drop rest
-      | Chase c :: rest -> Chase { c with cbody = drop c.cbody } :: drop rest
-      | If (e, t, f) :: rest ->
-          let t = drop t in
-          let f = drop f in
-          If (e, t, f) :: drop rest
-      | s :: rest -> s :: drop rest
-    in
-    let body = drop p.body in
-    if !removed then { p with body }
-    else
-      (* no assignment anywhere: drop whatever statement comes first *)
-      match p.body with _ :: rest -> { p with body = rest } | [] -> p
-
   let run ?(summaries = true) ?observe ctx passes p =
     let t_start = now_ms () in
     let p0 = Program.renumber p in
     let current = ref p0 in
     let entries = ref [] in
     let failsafe = ctx.options.failsafe in
-    let chaos =
-      match ctx.options.chaos with Some c -> Some c | None -> chaos_of_env ()
-    in
-    let chaos_rng =
-      Option.map
-        (fun c -> Memclust_util.Rng.create (c.chaos_seed lxor Hashtbl.hash p.p_name))
-        chaos
-    in
     (* The reference store — the source program's final data state —
        computed lazily once per pipeline run. The paper's own methodology
        (§4) defines correctness as semantic identity to the source, so
@@ -407,34 +417,16 @@ module Pipeline = struct
             Exec.run ~max_ops:diff_cand_max_ops candidate d;
             if Data.equal ref_store d then None
             else Some "differential execution: final stores diverge from the source program"
-          with Exec.Limit_exceeded ->
-            Some "differential execution: dynamic-operation budget exceeded (runaway rewrite?)")
+          with
+          | Exec.Limit_exceeded ->
+              Some "differential execution: dynamic-operation budget exceeded (runaway rewrite?)"
+          | e ->
+              (* a corrupted candidate may read a scalar it no longer
+                 defines: the interpreter's error is a divergence too *)
+              Some
+                ("differential execution: candidate raised "
+                ^ Printexc.to_string e))
       | _ -> None
-    in
-    (* Chaos sabotage for this pass: [`Crash] raises mid-rewrite,
-       [`Corrupt] ships a semantically wrong result; the guard must
-       contain both. uniquify is never sabotaged — every later pass keys
-       nests by the globally-unique loop variables it establishes. *)
-    let sabotage name =
-      if String.equal name "uniquify" then `None
-      else
-        match (chaos, chaos_rng) with
-        | Some c, Some rng ->
-            let forced =
-              match c.fail_pass with
-              | Some f -> String.equal f name
-              | None -> false
-            in
-            (* fixed draw order keeps the stream deterministic per seed *)
-            let hit =
-              c.chaos_rate > 0.0
-              && Memclust_util.Rng.float rng 1.0 < c.chaos_rate
-            in
-            let crash = Memclust_util.Rng.bool rng in
-            if forced then `Corrupt
-            else if hit then if crash then `Crash else `Corrupt
-            else `None
-        | _ -> `None
     in
     let record entry = entries := entry :: !entries in
     List.iter
@@ -500,18 +492,7 @@ module Pipeline = struct
                 events;
               }
           in
-          let attempt () =
-            match sabotage pass.name with
-            | `None -> pass.rewrite ctx !current
-            | `Crash ->
-                failwith (Printf.sprintf "%s: chaos-injected crash" pass.name)
-            | `Corrupt ->
-                (* ship the real result minus one assignment: still
-                   structurally plausible, semantically wrong *)
-                let p', events = pass.rewrite ctx !current in
-                (corrupt_program p', events)
-          in
-          match attempt () with
+          match pass.rewrite ctx !current with
           | exception e ->
               let reason =
                 Printf.sprintf "pass crashed: %s" (Printexc.to_string e)

@@ -55,18 +55,19 @@ type options = {
       (** guard every pass (default): a pass that crashes, produces
           invalid IR or changes program semantics is rolled back and
           recorded as degraded instead of failing the pipeline *)
-  chaos : chaos option;  (** sabotage injection; [None] (default) also
-                             consults {!chaos_of_env} at run time *)
+  chaos : chaos option;
+      (** sabotage injection (default [None]); {!Driver.run} applies it
+          with {!with_chaos} *)
 }
 
 val default_options : options
 
-val chaos_of_env : unit -> chaos option
-(** The [MEMCLUST_CHAOS_PASSES] ("SEED[:RATE]", rate defaulting to 0.25)
-    and [MEMCLUST_FAIL_PASS] (a pass name) environment variables — how
-    the repro CLI reaches pipelines constructed deep inside the harness.
-    [None] when neither is set; raises [Invalid_argument] on malformed
-    values. *)
+val chaos_of_strings : spec:string option -> fail_pass:string option -> chaos option
+(** Parse a chaos plan from a ["SEED[:RATE]"] spec (rate defaulting to
+    0.25) and the name of a pass to sabotage unconditionally, as given to
+    the repro CLI's [--chaos-passes] and [--fail-pass]. Empty strings
+    count as absent; [None] when both are absent. Raises
+    [Invalid_argument] on a malformed spec. *)
 
 type ctx = { options : options; init : (Data.t -> unit) option }
 (** What every pass may consult: the machine/flag options and the
@@ -111,6 +112,13 @@ type t = {
       (** must return a structurally valid program; the pipeline renumbers
           and validates after every pass *)
 }
+
+val with_chaos : chaos -> program -> t list -> t list
+(** Wrap the passes for one pipeline run over the given program: each
+    time a wrapped pass runs it draws (from one stream seeded by
+    [chaos_seed] and the program name) whether to crash mid-rewrite or to
+    corrupt its result, and [fail_pass] is always corrupted. [uniquify] is
+    never sabotaged: later passes key nests by its unique variables. *)
 
 (** {1 Nest traversal}
 
@@ -196,7 +204,9 @@ module Pipeline : sig
       pass that crashes, produces invalid IR or diverges semantically is
       rolled back: the trace entry records [degraded] with the reason and
       the pipeline continues from the last-good IR, so the worst case
-      ships the untransformed program, never a crash or wrong code. With
+      ships the untransformed program, never a crash or wrong code. A
+      candidate whose differential run raises (say, reading a scalar it
+      no longer defines) counts as diverging. With
       [failsafe = false] the same detections raise
       [Memclust_util.Error.Error] ([Pass_failed] or
       [Legality_violation]) naming the pass.

@@ -1,9 +1,9 @@
 (* On-disk checkpointing of completed experiment artifacts, so an
    interrupted repro run resumes instead of recomputing. One file per
-   artifact id; writes go through a temp file + rename so a crash
-   mid-write never leaves a truncated artifact behind. *)
+   artifact id and run settings; writes go through a temp file + rename
+   so a crash mid-write never leaves a truncated artifact behind. *)
 
-type t = { dir : string }
+type t = { dir : string; suffix : string }
 
 let id_ok id =
   String.length id > 0
@@ -36,11 +36,11 @@ let rec mkdir_p dir =
       (Memclust_util.Error.Config_invalid
          { config = dir; reason = "checkpoint path exists but is not a directory" })
 
-let create dir =
+let create ?(settings = Settings.default) dir =
   mkdir_p dir;
-  { dir }
+  { dir; suffix = "." ^ Settings.digest settings ^ ".txt" }
 
-let path t id = Filename.concat t.dir (id ^ ".txt")
+let path t id = Filename.concat t.dir (id ^ t.suffix)
 
 let mem t id =
   check_id id;
@@ -62,5 +62,5 @@ let save t id text =
 
 let saved t =
   Sys.readdir t.dir |> Array.to_list
-  |> List.filter_map (fun f -> Filename.chop_suffix_opt ~suffix:".txt" f)
+  |> List.filter_map (fun f -> Filename.chop_suffix_opt ~suffix:t.suffix f)
   |> List.sort String.compare

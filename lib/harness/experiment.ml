@@ -34,8 +34,9 @@ let machine_of_config (cfg : Config.t) =
     max_procs = 16;
   }
 
-(* Clustering is deterministic: memoize per (workload, config) so the
-   multiprocessor and uniprocessor runs share one transformation.
+(* Clustering is deterministic: memoize per (workload, machine model,
+   chaos plan) so the multiprocessor and uniprocessor runs share one
+   transformation.
 
    All memo tables are [Analysis_cache]s: mutex-guarded (shared across the
    domains of the experiment pool) and bounded, so long bench sweeps can't
@@ -45,7 +46,10 @@ let machine_of_config (cfg : Config.t) =
 let cluster_cache : (Ast.program * Driver.report) Analysis_cache.t =
   Analysis_cache.create ~cap:128 ~name:"harness-cluster" ()
 
-let transform (cfg : Config.t) (w : Workload.t) =
+let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+
+let transform ?(settings = Settings.default) (cfg : Config.t) (w : Workload.t) =
+  let options = Settings.options settings Driver.default_options in
   let machine =
     { (machine_of_config cfg) with
       Machine_model.max_procs = max 1 w.Workload.mp_procs
@@ -53,14 +57,15 @@ let transform (cfg : Config.t) (w : Workload.t) =
   in
   (* key on the analysis-side machine projection, not the config name:
      configs that differ only in latencies/clock (e.g. the 1 GHz point)
-     share one clustering *)
+     share one clustering; a chaos plan changes what the pipeline ships *)
   let key =
-    Printf.sprintf "%s@w%d.m%d.l%d.p%d" w.Workload.name
+    Printf.sprintf "%s@w%d.m%d.l%d.p%d|%s" w.Workload.name
       machine.Machine_model.window machine.Machine_model.mshrs
       machine.Machine_model.line_size machine.Machine_model.max_procs
+      (digest options.Driver.chaos)
   in
   Analysis_cache.find_or_compute cluster_cache key (fun () ->
-      let options = { Driver.default_options with machine } in
+      let options = { options with machine } in
       Driver.run ~options ~init:w.Workload.init w.Workload.program)
 
 let scaled_config (cfg : Config.t) (w : Workload.t) =
@@ -80,12 +85,9 @@ let scaled_config (cfg : Config.t) (w : Workload.t) =
 let lower_cache : (Lower.t * (int -> int)) Analysis_cache.t =
   Analysis_cache.create ~cap:32 ~name:"harness-lower" ()
 
-let program_digest program =
-  Digest.to_hex (Digest.string (Marshal.to_string program []))
-
 let lowered_for (w : Workload.t) ~nprocs program =
   let key =
-    Printf.sprintf "%s|%d|%s" w.Workload.name nprocs (program_digest program)
+    Printf.sprintf "%s|%d|%s" w.Workload.name nprocs (digest program)
   in
   Analysis_cache.find_or_compute lower_cache key (fun () ->
       let data = Data.create program in
@@ -103,29 +105,30 @@ let lowered_for (w : Workload.t) ~nprocs program =
 let sim_cache : (Machine.result * Sampling.estimate option) Analysis_cache.t =
   Analysis_cache.create ~cap:512 ~name:"harness-sim" ()
 
-(* the resolved mode is part of the key because it can come from outside
-   the config (the MEMCLUST_SIM_MODE environment variable) *)
-let simulate_estimated (w : Workload.t) (cfg : Config.t) ~nprocs program =
+(* the watchdogs only decide whether a run completes, never its result,
+   so they stay out of the key *)
+let simulate_estimated ?(settings = Settings.default) (w : Workload.t)
+    (cfg : Config.t) ~nprocs program =
+  let cfg = Settings.config settings cfg in
   let key =
-    Printf.sprintf "%s|%d|%s|%s|%s" w.Workload.name nprocs
-      (Digest.to_hex (Digest.string (Marshal.to_string cfg [])))
-      (program_digest program)
-      (Machine.mode_to_string (Machine.resolve_mode cfg))
+    Printf.sprintf "%s|%d|%s|%s" w.Workload.name nprocs (digest cfg)
+      (digest program)
   in
   Analysis_cache.find_or_compute sim_cache key (fun () ->
       let lowered, home = lowered_for w ~nprocs program in
-      Machine.run_estimated cfg ~home lowered)
+      Machine.run_estimated ?watchdog_cycles:settings.Settings.watchdog_cycles
+        ?time_budget:settings.Settings.time_budget cfg ~home lowered)
 
-let simulate_cached w cfg ~nprocs program =
-  fst (simulate_estimated w cfg ~nprocs program)
+let simulate_cached ?settings w cfg ~nprocs program =
+  fst (simulate_estimated ?settings w cfg ~nprocs program)
 
-let execute spec =
+let execute ?settings spec =
   let cfg = scaled_config spec.config spec.workload in
   let program, cluster_report =
     match spec.version with
     | Base -> (Program.renumber spec.workload.Workload.program, None)
     | Clustered ->
-        let p, r = transform cfg spec.workload in
+        let p, r = transform ?settings cfg spec.workload in
         (p, Some r)
     | Prefetched ->
         let p, _ =
@@ -136,7 +139,7 @@ let execute spec =
         in
         (p, None)
     | Clustered_prefetched ->
-        let p, r = transform cfg spec.workload in
+        let p, r = transform ?settings cfg spec.workload in
         let p, _ =
           Memclust_transform.Prefetch_pass.insert
             ~latency:cfg.Config.mem_lat ~issue_width:cfg.Config.issue_width
@@ -145,7 +148,7 @@ let execute spec =
         (p, Some r)
   in
   let result, estimate =
-    simulate_estimated spec.workload cfg ~nprocs:spec.nprocs program
+    simulate_estimated ?settings spec.workload cfg ~nprocs:spec.nprocs program
   in
   let trace = Option.map (fun (r : Driver.report) -> r.Driver.trace) cluster_report in
   { spec; result; estimate; cluster_report; trace; program }
@@ -153,7 +156,10 @@ let execute spec =
 let outcome_cache : outcome Analysis_cache.t =
   Analysis_cache.create ~cap:512 ~name:"harness-outcome" ()
 
-let spec_key spec =
+(* an outcome is fixed by what produced it: the config's contents (with
+   the settings' mode and faults applied) and the chaos plan; the config
+   name is there for the progress log *)
+let spec_key ?(settings = Settings.default) spec =
   Printf.sprintf "%s|%s|%d|%s|%s" spec.workload.Workload.name
     spec.config.Config.name spec.nprocs
     (match spec.version with
@@ -161,21 +167,21 @@ let spec_key spec =
     | Clustered -> "clust"
     | Prefetched -> "pf"
     | Clustered_prefetched -> "clust+pf")
-    (Machine.mode_to_string (Machine.resolve_mode spec.config))
+    (digest (Settings.config settings spec.config, settings.Settings.chaos))
 
-let execute_cached spec =
-  let key = spec_key spec in
+let execute_cached ?settings spec =
+  let key = spec_key ?settings spec in
   match Analysis_cache.find_opt outcome_cache key with
   | Some o -> o
   | None ->
       Printf.eprintf "[run] %s...\n%!" key;
-      let o = execute spec in
+      let o = execute ?settings spec in
       Analysis_cache.set outcome_cache key o;
       o
 
-let execute_result spec =
-  Memclust_util.Error.guard ~task:(spec_key spec) (fun () ->
-      execute_cached spec)
+let execute_result ?settings spec =
+  Memclust_util.Error.guard ~task:(spec_key ?settings spec) (fun () ->
+      execute_cached ?settings spec)
 
 let clear_caches () = Analysis_cache.clear_all ()
 

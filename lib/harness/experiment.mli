@@ -36,19 +36,31 @@ type outcome = {
 val machine_of_config : Config.t -> Machine_model.t
 (** The analysis-side machine parameters implied by a simulator config. *)
 
-val transform : Config.t -> Workload.t -> Ast.program * Driver.report
-(** Cluster the workload for the given machine (memoized per
-    workload-name/config-name pair — transformation is deterministic). *)
+(** Every entry point below takes the run's {!Settings} (default
+    {!Settings.default}): its sim mode and fault plan are applied to every
+    config, its chaos plan to the pass options, and its watchdogs to the
+    simulator. *)
+
+val transform :
+  ?settings:Settings.t -> Config.t -> Workload.t -> Ast.program * Driver.report
+(** Cluster the workload for the given machine (memoized per workload,
+    analysis-side machine model and chaos plan — transformation is
+    deterministic). *)
 
 val simulate_cached :
-  Workload.t -> Config.t -> nprocs:int -> Ast.program -> Machine.result
+  ?settings:Settings.t ->
+  Workload.t ->
+  Config.t ->
+  nprocs:int ->
+  Ast.program ->
+  Machine.result
 (** Lower (memoized on a structural program digest — one lowering serves
     every config simulating the same program) and simulate (memoized on
-    workload, nprocs, config contents, program digest and resolved
-    simulation mode). The returned result is shared: treat it as
-    read-only. *)
+    workload, nprocs, config contents and program digest). The returned
+    result is shared: treat it as read-only. *)
 
 val simulate_estimated :
+  ?settings:Settings.t ->
   Workload.t ->
   Config.t ->
   nprocs:int ->
@@ -57,22 +69,24 @@ val simulate_estimated :
 (** {!simulate_cached} plus the sampling estimate when the config resolves
     to sampled mode. *)
 
-val execute : spec -> outcome
+val execute : ?settings:Settings.t -> spec -> outcome
 (** The workload's scaled L2 size is applied to the config when the config
     has a two-level hierarchy; single-level configs (Exemplar) are used
     unchanged. *)
 
-val spec_key : spec -> string
-(** The memo key: ["workload|config|nprocs|version"]. Useful for
-    deduplicating spec lists before fanning out over a domain pool. *)
+val spec_key : ?settings:Settings.t -> spec -> string
+(** The memo key: ["workload|config-name|nprocs|version|digest"], the
+    digest covering the config's contents (settings applied) and the
+    chaos plan. Useful for deduplicating spec lists before fanning out
+    over a domain pool. *)
 
-val execute_cached : spec -> outcome
-(** Like {!execute}, memoized on (workload, config, nprocs, version); logs
-    progress to stderr. Safe to call from multiple domains concurrently
+val execute_cached : ?settings:Settings.t -> spec -> outcome
+(** Like {!execute}, memoized on {!spec_key}; logs progress to stderr. Safe to call from multiple domains concurrently
     (the memo tables are mutex-guarded; racing domains may duplicate
     deterministic work, never corrupt state). *)
 
-val execute_result : spec -> (outcome, Memclust_util.Error.t) result
+val execute_result :
+  ?settings:Settings.t -> spec -> (outcome, Memclust_util.Error.t) result
 (** {!execute_cached} with every failure — simulator deadlock, pass
     pipeline error, crash — caught into a structured error naming the
     spec, so one wedged point cannot poison a whole figure. *)

@@ -2,6 +2,8 @@ open Memclust_util
 open Memclust_sim
 open Memclust_workloads
 
+type artifact = ?settings:Settings.t -> unit -> string
+
 let buf_print f =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
@@ -12,8 +14,8 @@ let buf_print f =
 let spec ~config ~nprocs ~version w =
   { Experiment.workload = w; config; nprocs; version }
 
-let run ~config ~nprocs ~version w =
-  Experiment.execute_cached (spec ~config ~nprocs ~version w)
+let run ?settings ~config ~nprocs ~version w =
+  Experiment.execute_cached ?settings (spec ~config ~nprocs ~version w)
 
 (* Each figure's experiment points are independent (workload, config,
    nprocs, version) simulations: evaluate them across the shared domain
@@ -22,12 +24,12 @@ let run ~config ~nprocs ~version w =
    logged and dropped here, and only the figure that later reads it
    (inline, under run_safe's guard) degrades — the others still come
    from the warm cache. *)
-let prewarm specs =
+let prewarm ?settings specs =
   let seen = Hashtbl.create 16 in
   let unique =
     List.filter
       (fun s ->
-        let k = Experiment.spec_key s in
+        let k = Experiment.spec_key ?settings s in
         if Hashtbl.mem seen k then false
         else begin
           Hashtbl.add seen k ();
@@ -36,16 +38,17 @@ let prewarm specs =
       specs
   in
   let results =
-    Domain_pool.map_result ~task_name:Experiment.spec_key
+    Domain_pool.map_result ~task_name:(Experiment.spec_key ?settings)
       (Domain_pool.default ())
-      Experiment.execute_cached unique
+      (Experiment.execute_cached ?settings)
+      unique
   in
   List.iter2
     (fun s r ->
       match r with
       | Ok _ -> ()
       | Error e ->
-          Printf.eprintf "[degraded] %s: %s\n%!" (Experiment.spec_key s)
+          Printf.eprintf "[degraded] %s: %s\n%!" (Experiment.spec_key ?settings s)
             (Memclust_util.Error.to_string e))
     unique results
 
@@ -60,7 +63,7 @@ let reduction_pct base clust =
 
 (* ------------------------------------------------------------------ *)
 
-let table1 () =
+let table1 ?settings:_ () =
   buf_print (fun ppf ->
       Format.fprintf ppf
         "Table 1: base simulated configuration (paper Table 1)@.@.%a@.@.\
@@ -80,7 +83,7 @@ let paper_sizes =
     ("Ocean", "258x258 grid", "1,8");
   ]
 
-let table2 () =
+let table2 ?settings:_ () =
   let ws = Registry.latbench () :: Registry.applications () in
   let rows =
     List.map
@@ -113,11 +116,11 @@ let table2 () =
 
 (* ------------------------------------------------------------------ *)
 
-let latbench_on config label paper_base paper_clust =
+let latbench_on ?settings config label paper_base paper_clust =
   let w = Registry.latbench () in
-  prewarm (base_and_clustered ~config ~nprocs:1 w);
-  let b = run ~config ~nprocs:1 ~version:Experiment.Base w in
-  let c = run ~config ~nprocs:1 ~version:Experiment.Clustered w in
+  prewarm ?settings (base_and_clustered ~config ~nprocs:1 w);
+  let b = run ?settings ~config ~nprocs:1 ~version:Experiment.Base w in
+  let c = run ?settings ~config ~nprocs:1 ~version:Experiment.Clustered w in
   let ns = Machine.ns_per_cycle config in
   let stall_ns o =
     let r = o.Experiment.result in
@@ -139,10 +142,10 @@ let latbench_on config label paper_base paper_clust =
       Table.fmt_pct c.Experiment.result.Machine.bank_utilization; "-" ];
   ]
 
-let latbench () =
+let latbench ?settings () =
   let rows =
-    latbench_on Config.base "simulated" "171 ns" "32 ns (5.34x)"
-    @ latbench_on Config.exemplar_like "exemplar-like" "502 ns" "87 ns (5.77x)"
+    latbench_on ?settings Config.base "simulated" "171 ns" "32 ns (5.34x)"
+    @ latbench_on ?settings Config.exemplar_like "exemplar-like" "502 ns" "87 ns (5.77x)"
   in
   "Section 5.1: Latbench read-miss stall time (paper: 171->32 ns simulated,\n\
    502->87 ns Exemplar; speedups 5.34x / 5.77x, limited by bus+memory\n\
@@ -186,13 +189,13 @@ let breakdown_row name version base_cycles (o : Experiment.outcome) =
         ];
   ]
 
-let fig3 ~mp () =
+let fig3 ?settings ~mp () =
   let apps =
     List.filter
       (fun w -> (not mp) || w.Workload.mp_procs > 1)
       (Registry.applications ())
   in
-  prewarm
+  prewarm ?settings
     (List.concat_map
        (fun w ->
          let nprocs = if mp then w.Workload.mp_procs else 1 in
@@ -202,8 +205,8 @@ let fig3 ~mp () =
     List.concat_map
       (fun w ->
         let nprocs = if mp then w.Workload.mp_procs else 1 in
-        let b = run ~config:Config.base ~nprocs ~version:Experiment.Base w in
-        let c = run ~config:Config.base ~nprocs ~version:Experiment.Clustered w in
+        let b = run ?settings ~config:Config.base ~nprocs ~version:Experiment.Base w in
+        let c = run ?settings ~config:Config.base ~nprocs ~version:Experiment.Clustered w in
         let bc = Experiment.exec_cycles b in
         [
           breakdown_row w.Workload.name "base" bc b;
@@ -216,17 +219,17 @@ let fig3 ~mp () =
     ~header:[ "app"; "version"; "total"; "sync"; "CPU"; "data"; "S=sync C=cpu D=data" ]
     rows
 
-let fig3a () =
+let fig3a ?settings () =
   "Figure 3(a): multiprocessor execution time, normalized to base = 100\n\
    (paper: clustered totals Em3d 86.6, Erlebacher 69.8, FFT 78.3, LU 60.7,\n\
    Mp3d 90.6, Ocean 95.4 -> 5-39% reductions, average 20%)\n\n"
-  ^ fig3 ~mp:true ()
+  ^ fig3 ?settings ~mp:true ()
 
-let fig3b () =
+let fig3b ?settings () =
   "Figure 3(b): uniprocessor execution time, normalized to base = 100\n\
    (paper: clustered totals Em3d 88.6, Erlebacher 55.5, FFT 73.7, LU 85.9,\n\
    Mp3d 81.5, MST 51.1, Ocean 51.6 -> 11-49% reductions, average 30%)\n\n"
-  ^ fig3 ~mp:false ()
+  ^ fig3 ?settings ~mp:false ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -246,9 +249,9 @@ let table3_mp_ok w =
      machine *)
   w.Workload.mp_procs > 1 && not (String.equal w.Workload.name "Mp3d")
 
-let table3 () =
+let table3 ?settings () =
   let cfg = Config.exemplar_like in
-  prewarm
+  prewarm ?settings
     (List.concat_map
        (fun w ->
          base_and_clustered ~config:cfg ~nprocs:1 w
@@ -264,15 +267,15 @@ let table3 () =
         let mp_ok = table3_mp_ok w in
         let mp =
           if mp_ok then begin
-            let b = run ~config:cfg ~nprocs:w.Workload.mp_procs ~version:Experiment.Base w in
-            let c = run ~config:cfg ~nprocs:w.Workload.mp_procs ~version:Experiment.Clustered w in
+            let b = run ?settings ~config:cfg ~nprocs:w.Workload.mp_procs ~version:Experiment.Base w in
+            let c = run ?settings ~config:cfg ~nprocs:w.Workload.mp_procs ~version:Experiment.Clustered w in
             Table.fmt_float ~decimals:1
               (reduction_pct (Experiment.exec_cycles b) (Experiment.exec_cycles c))
           end
           else "N/A"
         in
-        let b = run ~config:cfg ~nprocs:1 ~version:Experiment.Base w in
-        let c = run ~config:cfg ~nprocs:1 ~version:Experiment.Clustered w in
+        let b = run ?settings ~config:cfg ~nprocs:1 ~version:Experiment.Base w in
+        let c = run ?settings ~config:cfg ~nprocs:1 ~version:Experiment.Clustered w in
         let up =
           Table.fmt_float ~decimals:1
             (reduction_pct (Experiment.exec_cycles b) (Experiment.exec_cycles c))
@@ -296,19 +299,19 @@ let table3 () =
 
 (* ------------------------------------------------------------------ *)
 
-let mshr_curves ~read () =
+let mshr_curves ?settings ~read () =
   let lu = List.find (fun w -> w.Workload.name = "LU") (Registry.applications ()) in
   let ocean =
     List.find (fun w -> w.Workload.name = "Ocean") (Registry.applications ())
   in
-  prewarm
+  prewarm ?settings
     (List.concat_map
        (fun w ->
          base_and_clustered ~config:Config.base ~nprocs:w.Workload.mp_procs w)
        [ lu; ocean ]);
   let curve w version =
     let o =
-      run ~config:Config.base ~nprocs:w.Workload.mp_procs ~version w
+      run ?settings ~config:Config.base ~nprocs:w.Workload.mp_procs ~version w
     in
     let h =
       if read then o.Experiment.result.Machine.read_mshr_hist
@@ -343,25 +346,25 @@ let mshr_curves ~read () =
   in
   table ^ "\n\n" ^ plot
 
-let fig4a () =
+let fig4a ?settings () =
   "Figure 4(a): read miss parallelism — fraction of time at least N L2\n\
    MSHRs hold read misses (multiprocessor runs).\n\
    (paper: clustering turns LU from <=1 outstanding read miss into up to 9;\n\
    Ocean changes only slightly since its base already clusters)\n\n"
-  ^ mshr_curves ~read:true ()
+  ^ mshr_curves ?settings ~read:true ()
 
-let fig4b () =
+let fig4b ?settings () =
   "Figure 4(b): contention — fraction of time at least N L2 MSHRs are\n\
    occupied by reads or writes (multiprocessor runs).\n\
    (paper: writes add contention in Ocean but not LU; clustering leaves\n\
    write contention unchanged)\n\n"
-  ^ mshr_curves ~read:false ()
+  ^ mshr_curves ?settings ~read:false ()
 
 (* ------------------------------------------------------------------ *)
 
-let ghz () =
+let ghz ?settings () =
   let cfg = Config.ghz Config.base in
-  prewarm
+  prewarm ?settings
     (List.concat_map
        (fun w ->
          base_and_clustered ~config:cfg ~nprocs:1 w
@@ -372,8 +375,8 @@ let ghz () =
        (Registry.applications ()));
   let line w =
     let red nprocs =
-      let b = run ~config:cfg ~nprocs ~version:Experiment.Base w in
-      let c = run ~config:cfg ~nprocs ~version:Experiment.Clustered w in
+      let b = run ?settings ~config:cfg ~nprocs ~version:Experiment.Base w in
+      let c = run ?settings ~config:cfg ~nprocs ~version:Experiment.Clustered w in
       reduction_pct (Experiment.exec_cycles b) (Experiment.exec_cycles c)
     in
     let mp =
@@ -394,8 +397,8 @@ let ghz () =
 (* ------------------------------------------------------------------ *)
 
 (* clustering x software prefetching (paper section 6 / reference [8]) *)
-let prefetch () =
-  prewarm
+let prefetch ?settings () =
+  prewarm ?settings
     (List.concat_map
        (fun w ->
          List.map
@@ -410,7 +413,7 @@ let prefetch () =
   let rows =
     List.concat_map
       (fun w ->
-        let go version = run ~config:Config.base ~nprocs:1 ~version w in
+        let go version = run ?settings ~config:Config.base ~nprocs:1 ~version w in
         let b = go Experiment.Base in
         let bc = Experiment.exec_cycles b in
         let line label (o : Experiment.outcome) =
@@ -447,7 +450,7 @@ let prefetch () =
       rows
 
 (* which driver stage buys what (DESIGN.md ablation) *)
-let ablation () =
+let ablation ?(settings = Settings.default) () =
   let open Memclust_cluster in
   let stage_options =
     [
@@ -471,7 +474,7 @@ let ablation () =
   let apps = [ "Em3d"; "LU"; "Mp3d"; "Ocean" ] in
   let simulate w prog =
     let cfg = Config.with_l2 w.Workload.l2_bytes Config.base in
-    Experiment.simulate_cached w cfg ~nprocs:1 prog
+    Experiment.simulate_cached ~settings w cfg ~nprocs:1 prog
   in
   let workloads = List.filter_map Registry.by_name apps in
   (* fan the independent (workload x pipeline-variant) points — plus the
@@ -505,6 +508,7 @@ let ablation () =
          pool
          (fun (w, (label, options)) ->
            Printf.eprintf "[run] ablation %s %s...\n%!" w.Workload.name label;
+           let options = Settings.options settings options in
            let p, _ =
              Driver.run ~options ~init:w.Workload.init w.Workload.program
            in
@@ -547,7 +551,7 @@ let ablation () =
 (* how much miss parallelism the hardware must offer before clustering
    pays off: sweep the MSHR count, re-deriving the transformation for
    each lp (the framework picks a degree matched to the resources) *)
-let mshr_sweep () =
+let mshr_sweep ?settings () =
   let points = [ 1; 2; 4; 6; 8; 10; 12; 16 ] in
   let apps =
     [ Registry.latbench ();
@@ -558,7 +562,7 @@ let mshr_sweep () =
     { (Config.with_mshrs mshrs Config.base) with
       Config.name = Printf.sprintf "base-mshr%d" mshrs }
   in
-  prewarm
+  prewarm ?settings
     (List.concat_map
        (fun w ->
          List.concat_map
@@ -572,8 +576,8 @@ let mshr_sweep () =
         List.mapi
           (fun i mshrs ->
             let config = sweep_config mshrs in
-            let b = run ~config ~nprocs:1 ~version:Experiment.Base w in
-            let c = run ~config ~nprocs:1 ~version:Experiment.Clustered w in
+            let b = run ?settings ~config ~nprocs:1 ~version:Experiment.Base w in
+            let c = run ?settings ~config ~nprocs:1 ~version:Experiment.Clustered w in
             let factor =
               match c.Experiment.cluster_report with
               | Some r ->
@@ -635,10 +639,11 @@ let by_id = function
 
 (* one wedged or crashing artifact degrades to an error report instead of
    taking down the sibling artifacts of the same invocation *)
-let run_safe id =
+let run_safe ?settings id =
   match by_id id with
   | None ->
       Error
         (Memclust_util.Error.Config_invalid
            { config = id; reason = "unknown experiment id" })
-  | Some f -> Memclust_util.Error.guard ~task:("experiment " ^ id) f
+  | Some f ->
+      Memclust_util.Error.guard ~task:("experiment " ^ id) (f ?settings)

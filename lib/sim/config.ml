@@ -143,12 +143,6 @@ let with_sim_mode mode t = { t with sim_mode = Some mode }
 
 let with_faults plan t = { t with faults = Some plan }
 
-(* the plan for runs of this config: an explicit [faults] field wins,
-   otherwise the MEMCLUST_FAULTS environment variable (how the repro CLI
-   reaches configs constructed deep inside the harness) *)
-let resolve_faults t =
-  match t.faults with Some p -> Some p | None -> Faults.of_env ()
-
 let ghz t =
   {
     t with

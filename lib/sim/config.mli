@@ -48,12 +48,10 @@ type t = {
       (** simulation mode override for runs of this config, in
           {!Machine.mode_of_string} syntax (["cycle"], ["event"],
           ["sampled\[:period:window\[:warmup\]\]"]). [None] (the presets'
-          value) defers to the [MEMCLUST_SIM_MODE] environment variable,
-          then the exact event-driven mode. *)
+          value) means the exact event-driven mode. *)
   faults : Faults.plan option;
       (** fault-injection plan for the memory system of runs of this
-          config. [None] (the presets' value) defers to the
-          [MEMCLUST_FAULTS] environment variable, then no faults. *)
+          config. [None] (the presets' value) means no faults. *)
 }
 
 val levels : t -> level list
@@ -103,10 +101,6 @@ val with_sim_mode : string -> t -> t
 
 val with_faults : Faults.plan -> t -> t
 (** Pin a fault-injection plan for runs of this config. *)
-
-val resolve_faults : t -> Faults.plan option
-(** The plan actually used: the [faults] field if set, otherwise
-    [MEMCLUST_FAULTS] from the environment, otherwise [None]. *)
 
 val ghz : t -> t
 (** 1 GHz variant: identical memory system in ns, so all memory-side

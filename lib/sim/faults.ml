@@ -87,14 +87,6 @@ let to_string p =
     p.seed p.delay_prob p.delay_prob p.delay_cycles p.nack_prob p.nack_backoff
     p.nack_max_retries p.stall_prob p.stall_cycles
 
-let of_env () =
-  match Sys.getenv_opt "MEMCLUST_FAULTS" with
-  | None | Some "" -> None
-  | Some s -> (
-      match of_string s with
-      | Ok p -> Some p
-      | Error m -> invalid_arg m)
-
 let make plan =
   {
     plan;

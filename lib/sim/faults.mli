@@ -73,11 +73,6 @@ val of_string : string -> (plan, string) result
 
 val to_string : plan -> string
 
-val of_env : unit -> plan option
-(** The [MEMCLUST_FAULTS] environment variable in {!of_string} syntax;
-    [None] when unset or empty. Raises [Invalid_argument] on a
-    malformed value. *)
-
 val make : plan -> injector
 
 type decision = {

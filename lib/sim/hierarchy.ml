@@ -23,6 +23,8 @@
    allocate their environment per call), and results are plain ints with
    {!retry} as the "no MSHR" sentinel. *)
 
+open Memclust_util
+
 type shared = {
   cfg : Config.t;
   mem : Memsys.t;

@@ -42,31 +42,19 @@ let mode_to_string = function
   | Event -> "event"
   | Sampled p -> Sampling.to_string p
 
-let bad_mode where s =
-  invalid_arg
-    (Printf.sprintf
-       "%s: expected \"cycle\", \"event\" or \
-        \"sampled[:period:window[:warmup]]\", got %S"
-       where s)
-
-let default_mode () =
-  match Sys.getenv_opt "MEMCLUST_SIM_MODE" with
-  | None -> Event
-  | Some s -> (
+let resolve_mode ?mode (cfg : Config.t) =
+  match (mode, cfg.Config.sim_mode) with
+  | Some m, _ -> m
+  | None, None -> Event
+  | None, Some s -> (
       match mode_of_string s with
       | Some m -> m
-      | None -> bad_mode "MEMCLUST_SIM_MODE" s)
-
-let resolve_mode ?mode (cfg : Config.t) =
-  match mode with
-  | Some m -> m
-  | None -> (
-      match cfg.Config.sim_mode with
-      | Some s -> (
-          match mode_of_string s with
-          | Some m -> m
-          | None -> bad_mode "Config.sim_mode" s)
-      | None -> default_mode ())
+      | None ->
+          invalid_arg
+            (Printf.sprintf
+               "Config.sim_mode: expected \"cycle\", \"event\" or \
+                \"sampled[:period:window[:warmup]]\", got %S"
+               s))
 
 (* ------------------------------------------------------------------ *)
 (* The engine, factored so sampled mode can run it in bounded bursts.
@@ -103,21 +91,8 @@ type engine = {
   mutable executed_cycles : int;
 }
 
-let default_watchdog_cycles () =
-  match
-    Option.bind (Sys.getenv_opt "MEMCLUST_WATCHDOG_CYCLES") int_of_string_opt
-  with
-  | Some v when v > 0 -> v
-  | _ -> 1_000_000
-
-let default_time_budget () =
-  match
-    Option.bind (Sys.getenv_opt "MEMCLUST_TIME_BUDGET_S") float_of_string_opt
-  with
-  | Some v when v > 0.0 -> v
-  | _ -> 0.0
-
-let make_engine ?(max_cycles = 400_000_000) ?watchdog_cycles ?time_budget
+let make_engine ?(max_cycles = 400_000_000) ?(watchdog_cycles = 1_000_000)
+    ?(time_budget = 0.0)
     (cfg : Config.t) ~home (lower : Lower.t) =
   let nprocs = Array.length lower.Lower.traces in
   let sh = Core.make_shared cfg ~nprocs ~home in
@@ -131,14 +106,8 @@ let make_engine ?(max_cycles = 400_000_000) ?watchdog_cycles ?time_budget
     total_hist = Stats.Histogram.create (Config.lp cfg + 1);
     cycle = 0;
     max_cycles;
-    watchdog_cycles =
-      (match watchdog_cycles with
-      | Some v when v > 0 -> v
-      | _ -> default_watchdog_cycles ());
-    time_budget =
-      (match time_budget with
-      | Some v when v > 0.0 -> v
-      | _ -> default_time_budget ());
+    watchdog_cycles;
+    time_budget;
     start_wall = Unix.gettimeofday ();
     last_progress = 0;
     mode_name = "event";

@@ -66,15 +66,10 @@ val mode_of_string : string -> mode option
 
 val mode_to_string : mode -> string
 
-val default_mode : unit -> mode
-(** [Event], unless overridden by the [MEMCLUST_SIM_MODE] environment
-    variable (any {!mode_of_string} syntax). Raises [Invalid_argument] on
-    any other value of the variable. *)
-
 val resolve_mode : ?mode:mode -> Config.t -> mode
 (** The mode a run of [cfg] will use: an explicit [?mode] wins, then the
     config's [sim_mode] string (parsed; raises [Invalid_argument] if
-    unparsable), then {!default_mode} (). *)
+    unparsable), then [Event]. *)
 
 val run :
   ?max_cycles:int ->
@@ -93,11 +88,9 @@ val run :
     progress, per-level MSHR occupancies and pending completion events —
     when (a) [max_cycles] (default 400 million) is exceeded, (b) no core
     changes state for [watchdog_cycles] consecutive simulated cycles
-    (default 1 million, or the [MEMCLUST_WATCHDOG_CYCLES] environment
-    variable), (c) event mode finds unfinished cores with no pending
-    completion anywhere, or (d) the optional wall-clock budget
-    [time_budget] seconds (or [MEMCLUST_TIME_BUDGET_S]; 0 = disabled,
-    the default) runs out. The watchdog only reads simulator state, so
+    (default 1 million), (c) event mode finds unfinished cores with no
+    pending completion anywhere, or (d) the optional wall-clock budget
+    [time_budget] seconds (0 = disabled, the default) runs out. The watchdog only reads simulator state, so
     results on non-wedged runs are bit-identical with it enabled.
 
     In [Sampled] mode the result's counters are extrapolated estimates;

@@ -35,7 +35,7 @@ let create (cfg : Config.t) ~nprocs =
     bus_busy_total = 0;
     bank_busy_total = 0;
     inj =
-      (match Config.resolve_faults cfg with
+      (match cfg.Config.faults with
       | Some p when Faults.is_active p -> Some (Faults.make p)
       | _ -> None);
   }

@@ -29,8 +29,8 @@ val bus_busy : t -> int
 val bank_busy : t -> int
 
 val fault_stats : t -> Faults.stats option
-(** Counters of the fault injector, if this config resolved to an active
-    fault plan ({!Config.resolve_faults}); [None] on fault-free runs. *)
+(** Counters of the fault injector, if the config carries an active
+    fault plan ({!Config.faults}); [None] on fault-free runs. *)
 
 val bus_utilization : t -> upto:int -> float
 (** Average bus occupancy per node over the first [upto] cycles. *)

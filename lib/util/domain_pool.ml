@@ -189,13 +189,7 @@ let default () =
     match !default_pool with
     | Some t -> t
     | None ->
-        let t =
-          match
-            Option.bind (Sys.getenv_opt "MEMCLUST_DOMAINS") int_of_string_opt
-          with
-          | Some d -> create ~domains:d ()
-          | None -> create ()
-        in
+        let t = create () in
         at_exit (fun () -> shutdown t);
         default_pool := Some t;
         t

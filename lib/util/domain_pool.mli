@@ -49,6 +49,5 @@ val shutdown : t -> unit
     Idempotent. *)
 
 val default : unit -> t
-(** A lazily-created shared pool sized by [MEMCLUST_DOMAINS] (an integer
-    count of worker domains; [0] forces sequential) or
-    [recommended_domain_count () - 1]. Shut down automatically at exit. *)
+(** A lazily-created shared pool of [recommended_domain_count () - 1]
+    worker domains. Shut down automatically at exit. *)

@@ -87,6 +87,68 @@ let test_cached_is_stable () =
   let b = Experiment.execute_cached spec in
   Alcotest.(check bool) "same outcome object" true (a == b)
 
+(* an outcome must come from the config and chaos plan asked for, not
+   from an earlier run of a config with the same name *)
+let test_cache_keys_on_what_produced_it () =
+  let w = Registry.latbench () in
+  let spec config =
+    { Experiment.workload = w; config; nprocs = 1; version = Experiment.Base }
+  in
+  let plan = Faults.scaled ~seed:7 0.3 in
+  let clean = Experiment.execute_cached (spec Config.base) in
+  let faulty = Experiment.execute_cached (spec (Config.with_faults plan Config.base)) in
+  Alcotest.(check bool) "not the cached fault-free outcome" false (clean == faulty);
+  Alcotest.(check int) "matches an uncached run under faults"
+    (Experiment.exec_cycles
+       (Experiment.execute (spec (Config.with_faults plan Config.base))))
+    (Experiment.exec_cycles faulty);
+  Alcotest.(check bool) "faults cost cycles" true
+    (Experiment.exec_cycles faulty > Experiment.exec_cycles clean);
+  let settings = { Settings.default with faults = Some plan } in
+  Alcotest.(check int) "settings reach the config"
+    (Experiment.exec_cycles faulty)
+    (Experiment.exec_cycles (Experiment.execute_cached ~settings (spec Config.base)))
+
+let test_cluster_cache_keys_on_chaos () =
+  let w = tiny () in
+  let clean_p, clean = Experiment.transform Config.base w in
+  let chaos = { Memclust_cluster.Pass.chaos_seed = 0; chaos_rate = 0.0; fail_pass = Some "unroll-jam" } in
+  let settings = { Settings.default with chaos = Some chaos } in
+  let p, sabotaged = Experiment.transform ~settings Config.base w in
+  let degraded r =
+    List.map fst
+      (Memclust_cluster.Pass.Pipeline.degraded_passes r.Memclust_cluster.Driver.trace)
+  in
+  Alcotest.(check (list string)) "clean run degrades nothing" [] (degraded clean);
+  Alcotest.(check (list string)) "chaos run is not the cached clean one"
+    [ "unroll-jam" ] (degraded sabotaged);
+  Alcotest.(check bool) "rolled-back program differs" false (clean_p = p)
+
+(* the simulator core is a setting: cycle and event mode agree on every
+   result field but the engine's own counters *)
+let test_sim_mode_setting_cycle_equals_event () =
+  let w = tiny () in
+  List.iter
+    (fun nprocs ->
+      let run mode =
+        let settings = { Settings.default with sim_mode = Some mode } in
+        (Experiment.execute ~settings
+           { Experiment.workload = w; config = Config.base; nprocs;
+             version = Experiment.Clustered })
+          .Experiment.result
+      in
+      let cycle = run Machine.Cycle and event = run Machine.Event in
+      Alcotest.(check bool)
+        (Printf.sprintf "p=%d: the setting picks the engine" nprocs)
+        true
+        (event.Machine.core_steps < cycle.Machine.core_steps);
+      let result r = { r with Machine.core_steps = 0; executed_cycles = 0 } in
+      Alcotest.(check bool)
+        (Printf.sprintf "p=%d: cycle = event" nprocs)
+        true
+        (result cycle = result event))
+    [ 1; 4 ]
+
 let test_l2_scaling_applied () =
   let w = tiny () in
   (* scaled config: the workload's small L2 makes the kernel miss more than
@@ -194,6 +256,12 @@ let () =
           Alcotest.test_case "base vs clustered" `Quick test_execute_base_vs_clustered;
           Alcotest.test_case "multiprocessor" `Quick test_execute_multiproc;
           Alcotest.test_case "memoization" `Quick test_cached_is_stable;
+          Alcotest.test_case "outcome cache keys on config contents" `Quick
+            test_cache_keys_on_what_produced_it;
+          Alcotest.test_case "cluster cache keys on chaos" `Quick
+            test_cluster_cache_keys_on_chaos;
+          Alcotest.test_case "sim mode setting: cycle = event" `Quick
+            test_sim_mode_setting_cycle_equals_event;
           Alcotest.test_case "l2 scaling" `Quick test_l2_scaling_applied;
           Alcotest.test_case "prefetched versions" `Quick test_prefetched_versions;
           Alcotest.test_case "max_procs cap" `Quick test_transform_respects_max_procs;

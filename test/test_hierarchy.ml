@@ -2,6 +2,7 @@
    side-effect-free [resident] probe), the per-level Mshr file, the
    Hierarchy level stack, and Config.validate. *)
 open Memclust_sim
+module Cache = Memclust_util.Cache
 
 (* ------------------------------ Cache -------------------------------- *)
 

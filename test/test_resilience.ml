@@ -197,18 +197,104 @@ let test_failsafe_off_raises_structured_error () =
   | exception Error.Error (Error.Pass_failed { pass; _ }) ->
       Alcotest.(check string) "names the pass" "schedule" pass
 
-let test_chaos_of_env_parses () =
-  Unix.putenv "MEMCLUST_CHAOS_PASSES" "11:0.5";
-  Unix.putenv "MEMCLUST_FAIL_PASS" "schedule";
-  let c = Pass.chaos_of_env () in
-  Unix.putenv "MEMCLUST_CHAOS_PASSES" "";
-  Unix.putenv "MEMCLUST_FAIL_PASS" "";
-  (match c with
+let test_chaos_spec_parses () =
+  (match
+     Pass.chaos_of_strings ~spec:(Some "11:0.5") ~fail_pass:(Some "schedule")
+   with
   | Some { Pass.chaos_seed = 11; chaos_rate = 0.5; fail_pass = Some "schedule" }
     ->
       ()
-  | _ -> Alcotest.fail "env chaos spec not parsed");
-  Alcotest.(check bool) "unset -> None" true (Pass.chaos_of_env () = None)
+  | _ -> Alcotest.fail "chaos spec not parsed");
+  Alcotest.(check bool) "unset -> None" true
+    (Pass.chaos_of_strings ~spec:None ~fail_pass:None = None);
+  Alcotest.(check bool) "empty -> None" true
+    (Pass.chaos_of_strings ~spec:(Some "") ~fail_pass:(Some "") = None);
+  List.iter
+    (fun s ->
+      match Pass.chaos_of_strings ~spec:(Some s) ~fail_pass:None with
+      | _ -> Alcotest.failf "%S must not parse" s
+      | exception Invalid_argument m ->
+          Alcotest.(check string) "error text"
+            (Printf.sprintf
+               "MEMCLUST_CHAOS_PASSES: expected SEED[:RATE] with RATE in \
+                [0,1], got %S"
+               s)
+            m)
+    [ "x"; "1:2"; "1:0.5:3" ]
+
+(* Registry-size workloads through the pipeline as [repro trace] runs
+   them; each degraded pass as "NAME c" (crash) or "NAME d" (divergence) *)
+let degraded_under chaos (w : Workload.t) =
+  let options =
+    {
+      Driver.default_options with
+      machine =
+        {
+          (Memclust_harness.Experiment.machine_of_config Config.base) with
+          Machine_model.max_procs = max 1 w.Workload.mp_procs;
+        };
+      chaos = Some chaos;
+    }
+  in
+  let _, report = Driver.run ~options ~init:w.Workload.init w.Workload.program in
+  List.map
+    (fun (pass, reason) ->
+      let starts p = String.starts_with ~prefix:p reason in
+      if starts "pass crashed" then pass ^ " c"
+      else if starts "differential execution" then pass ^ " d"
+      else pass ^ " ? " ^ reason)
+    (Pass.Pipeline.degraded_passes report.Driver.trace)
+
+let chaos seed rate = { Pass.chaos_seed = seed; chaos_rate = rate; fail_pass = None }
+
+(* A corrupted candidate that reads a scalar it no longer defines makes
+   the interpreter raise during differential execution: the guard must
+   degrade the pass, not let the exception out. *)
+let test_guard_contains_interpreter_errors () =
+  List.iter
+    (fun name ->
+      let w = Option.get (Registry.by_name name) in
+      Alcotest.(check bool)
+        (name ^ " degrades at least one pass")
+        true
+        (degraded_under (chaos 3 0.5) w <> []))
+    [ "MST"; "Latbench" ];
+  let w = Option.get (Registry.by_name "MST") in
+  let options =
+    {
+      Driver.default_options with
+      failsafe = false;
+      chaos = Some { (chaos 0 0.0) with fail_pass = Some "analyze" };
+    }
+  in
+  match Driver.run ~options ~init:w.Workload.init w.Workload.program with
+  | _ -> Alcotest.fail "a raising candidate with failsafe off must raise"
+  | exception Error.Error (Error.Legality_violation { pass; detail }) ->
+      Alcotest.(check string) "names the pass" "analyze" pass;
+      Alcotest.(check bool) "carries the interpreter error" true
+        (String.starts_with ~prefix:"differential execution: candidate raised"
+           detail)
+
+(* The passes each plan sabotages, and how each fails, as recorded before
+   sabotage moved out of the pipeline into a pass wrapper. *)
+let test_chaos_degrades_pinned_passes () =
+  let check name plan expected =
+    Alcotest.(check (list string))
+      name expected
+      (degraded_under plan (Option.get (Registry.by_name name)))
+  in
+  check "LU" (chaos 7 1.0)
+    [ "analyze c"; "unroll-jam d"; "window-unroll c"; "scalar-replace d"; "schedule d" ];
+  List.iter
+    (fun (name, expected) -> check name (chaos 3 0.5) expected)
+    [
+      ("Em3d", [ "analyze c"; "unroll-jam d" ]);
+      ("Erlebacher", [ "analyze d"; "window-unroll d"; "scalar-replace c" ]);
+      ("FFT", [ "analyze c"; "unroll-jam c"; "window-unroll d"; "schedule d" ]);
+      ("LU", [ "unroll-jam d"; "window-unroll d"; "scalar-replace d" ]);
+      ("Mp3d", [ "schedule c" ]);
+      ("Ocean", [ "analyze c"; "unroll-jam c"; "window-unroll d"; "scalar-replace c" ]);
+    ]
 
 (* --------------------------- crash containment -------------------------- *)
 
@@ -287,6 +373,37 @@ let test_checkpoint_roundtrip () =
       | exception Error.Error (Error.Config_invalid _) -> ()
       | _ -> Alcotest.fail "path-escaping ids must be rejected")
 
+(* ROADMAP's stale-checkpoint bug: resuming under a fault plan replayed
+   the fault-free artifact *)
+let test_checkpoint_keyed_on_settings () =
+  let module Checkpoint = Memclust_harness.Checkpoint in
+  let module Settings = Memclust_harness.Settings in
+  let dir = "checkpoint-settings-tmp" in
+  let faulty =
+    { Settings.default with faults = Some (Faults.scaled ~seed:3 0.5) }
+  in
+  let clean = Checkpoint.create dir in
+  let under_faults = Checkpoint.create ~settings:faulty dir in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      Checkpoint.save clean "latbench" "fault-free\n";
+      Alcotest.(check (option string)) "not replayed under other settings" None
+        (Checkpoint.load under_faults "latbench");
+      Checkpoint.save under_faults "latbench" "faulty\n";
+      Alcotest.(check (option string)) "each settings sees its own"
+        (Some "fault-free\n")
+        (Checkpoint.load (Checkpoint.create dir) "latbench");
+      Alcotest.(check (option string)) "and the faulty one its own"
+        (Some "faulty\n")
+        (Checkpoint.load under_faults "latbench");
+      Alcotest.(check (list string)) "saved ids per settings" [ "latbench" ]
+        (Checkpoint.saved under_faults))
+
 let () =
   Alcotest.run "resilience"
     [
@@ -315,7 +432,11 @@ let () =
             test_forced_pass_failure_degrades;
           Alcotest.test_case "failsafe off raises" `Quick
             test_failsafe_off_raises_structured_error;
-          Alcotest.test_case "env spec parses" `Quick test_chaos_of_env_parses;
+          Alcotest.test_case "spec parses" `Quick test_chaos_spec_parses;
+          Alcotest.test_case "guard contains interpreter errors" `Quick
+            test_guard_contains_interpreter_errors;
+          Alcotest.test_case "degrades the pinned passes" `Slow
+            test_chaos_degrades_pinned_passes;
         ] );
       ( "crash containment",
         [
@@ -327,5 +448,9 @@ let () =
             test_map_result_preserves_structured_errors;
         ] );
       ( "checkpoint",
-        [ Alcotest.test_case "roundtrip" `Quick test_checkpoint_roundtrip ] );
+        [
+          Alcotest.test_case "roundtrip" `Quick test_checkpoint_roundtrip;
+          Alcotest.test_case "keyed on settings" `Quick
+            test_checkpoint_keyed_on_settings;
+        ] );
     ]

@@ -1,5 +1,6 @@
 open Memclust_codegen
 open Memclust_sim
+module Cache = Memclust_util.Cache
 
 (* ------------------------------ Cache ------------------------------- *)
 
