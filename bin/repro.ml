@@ -491,10 +491,19 @@ let passes_arg =
     & opt (some (list ~sep:',' string)) None
     & info [ "passes" ] ~docv:"PASS,.." ~doc)
 
+let check_pass_names names =
+  let known = Memclust_cluster.Driver.pass_names in
+  match List.find_opt (fun n -> not (List.mem n known)) names with
+  | None -> ()
+  | Some n ->
+      Printf.eprintf "unknown pass %s (have: %s)\n" n (String.concat ", " known);
+      exit 1
+
 let show_cmd =
   let doc = "Print a workload's IR before and after clustering." in
   let run name only =
     let w = lookup name in
+    Option.iter check_pass_names only;
     Format.printf "==== %s: base ====@.%a@.@." w.Workload.name Pretty.pp_program
       w.Workload.program;
     let open Memclust_cluster in
@@ -527,15 +536,7 @@ let trace_cmd =
   in
   let run settings names only dump_after json_file =
     let open Memclust_cluster in
-    let check_pass n =
-      if not (List.mem n Driver.pass_names) then begin
-        Printf.eprintf "unknown pass %s (have: %s)\n" n
-          (String.concat ", " Driver.pass_names);
-        exit 1
-      end
-    in
-    Option.iter (List.iter check_pass) only;
-    Option.iter check_pass dump_after;
+    check_pass_names (Option.value only ~default:[] @ Option.to_list dump_after);
     let ws =
       match names with
       | [] -> Registry.latbench () :: Registry.applications ()

@@ -17,7 +17,7 @@ type action = Pass.action =
   | Inner_unroll of { inner_var : string; factor : int }
   | Rejected of { target_var : string; reason : string }
 
-type scheduler = Pass.scheduler = Pack_misses | Balanced | No_schedule
+type scheduler = Pass.scheduler = Pack_misses | Balanced
 type chaos = Pass.chaos = {
   chaos_seed : int;
   chaos_rate : float;
@@ -100,37 +100,10 @@ let uniquify_loops (p : program) =
 (* Analysis wrappers                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Profiling interprets the whole program, and the same candidate program
-   is profiled repeatedly — across binary-search steps, and across
-   machine configurations that differ only in parameters the profile
-   doesn't depend on (window, MSHR count). Memoize on a structural digest
-   of the program plus the line size; [p_name] is part of the digest, so
-   workloads with distinct initializers never collide. The returned
-   closure reads an immutable profile, so sharing across domains is safe. *)
-let pm_cache : (int -> float) Memclust_util.Analysis_cache.t =
-  Memclust_util.Analysis_cache.create ~cap:512 ~name:"driver-profile-pm" ()
-
-let make_pm options ~init p =
-  if not options.profile_pm then fun _ -> 1.0
-  else begin
-    let line_size = options.machine.Machine_model.line_size in
-    let key =
-      Printf.sprintf "%d|%s|%s" line_size
-        (match init with None -> "-" | Some _ -> "i")
-        (Digest.to_hex (Digest.string (Marshal.to_string p [])))
-    in
-    Memclust_util.Analysis_cache.find_or_compute pm_cache key (fun () ->
-        let data = Data.create p in
-        (match init with Some f -> f data | None -> ());
-        let prof = Profile.run ~line_size p data in
-        fun id -> Profile.miss_rate prof id)
-  end
-
 (* Evaluate f for the innermost construct identified by [key] inside the
    top-level nest whose loop variable is [nest_var]. *)
-let evaluate options ~init p ~nest_var ~key =
+let evaluate { Pass.options; pm } p ~nest_var ~key =
   let loc = Locality.analyze ~line_size:options.machine.Machine_model.line_size p in
-  let pm = make_pm options ~init p in
   match Pass.find_nest p nest_var with
   | None -> None
   | Some (_, nest) -> (
@@ -144,7 +117,8 @@ let evaluate options ~init p ~nest_var ~key =
           let graph = Depgraph.analyze loc located.Pass.inner in
           let alpha = Depgraph.alpha graph in
           let fest =
-            Festimate.compute options.machine loc ~pm ~graph located.Pass.inner
+            Festimate.compute options.machine loc ~pm:(pm p) ~graph
+              located.Pass.inner
           in
           Some (loc, located, graph, alpha, fest))
 
@@ -166,8 +140,8 @@ let try_factor p ~nest_var (parent : loop) enclosing n =
           let nest' = Pass.replace_loop ~var:parent.var ~repl (Loop nest) in
           Ok (Program.renumber (Pass.replace_nest p ~var:nest_var ~repl:nest')))
 
-let resolve_recurrences options ~init p ~nest_var ~key parent enclosing ~alpha ~f0
-    =
+let resolve_recurrences ({ Pass.options; _ } as ctx) p ~nest_var ~key parent
+    enclosing ~alpha ~f0 =
   let lp = float_of_int options.machine.Machine_model.mshrs in
   let target = alpha *. lp in
   let u = options.machine.Machine_model.max_unroll in
@@ -203,7 +177,7 @@ let resolve_recurrences options ~init p ~nest_var ~key parent enclosing ~alpha ~
     match try_factor p ~nest_var parent enclosing n with
     | Error msg -> Error msg
     | Ok p' -> (
-        match evaluate options ~init p' ~nest_var ~key with
+        match evaluate ctx p' ~nest_var ~key with
         | Some (_, _, _, _, fest) -> Ok (p', fest.Festimate.f)
         | None -> Error "internal: nest vanished")
   in
@@ -243,8 +217,8 @@ let resolve_recurrences options ~init p ~nest_var ~key parent enclosing ~alpha ~
 (* Window-constraint resolution                                        *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_window options ~init p ~nest_var ~key =
-  match evaluate options ~init p ~nest_var ~key with
+let resolve_window ({ Pass.options; _ } as ctx) p ~nest_var ~key =
+  match evaluate ctx p ~nest_var ~key with
   | None -> (p, [])
   | Some (_, located, graph, _, fest) -> (
       let lp = float_of_int options.machine.Machine_model.mshrs in
@@ -283,7 +257,6 @@ let schedule_innermost options p =
       match options.scheduler with
       | Pack_misses -> Schedule.pack_misses loc body
       | Balanced -> Balanced_sched.reorder loc body
-      | No_schedule -> body
     in
     if body' != body && body' <> body then incr scheduled;
     body'
@@ -360,9 +333,9 @@ let analyze_pass =
        initial f of every innermost construct";
     enabled = always;
     rewrite =
-      (fun { Pass.options; init } p ->
+      (fun ctx p ->
         over_nest_keys p (fun p ~nest_var ~key ->
-            match evaluate options ~init p ~nest_var ~key with
+            match evaluate ctx p ~nest_var ~key with
             | None -> (p, [])
             | Some (_, located, _, alpha, fest) ->
                 let nest_index =
@@ -431,10 +404,10 @@ let unroll_jam_pass =
        unroll-and-jam degree keeping f <= alpha*lp (paper §3.2)";
     enabled = (fun o -> o.do_unroll_jam);
     rewrite =
-      (fun { Pass.options; init } p ->
+      (fun ({ Pass.options; _ } as ctx) p ->
         let lp = float_of_int options.machine.Machine_model.mshrs in
         over_nest_keys p (fun p ~nest_var ~key ->
-            match evaluate options ~init p ~nest_var ~key with
+            match evaluate ctx p ~nest_var ~key with
             | None -> (p, [])
             | Some (_, located, _, alpha, fest) ->
                 if
@@ -452,7 +425,7 @@ let unroll_jam_pass =
                     | [] -> ()
                     | target :: rest ->
                         let p', acts =
-                          resolve_recurrences options ~init !p ~nest_var ~key
+                          resolve_recurrences ctx !p ~nest_var ~key
                             target located.Pass.enclosing ~alpha
                             ~f0:fest.Festimate.f
                         in
@@ -485,9 +458,9 @@ let window_pass =
        iterations cannot fill the MSHRs (paper §3.3)";
     enabled = (fun o -> o.do_window);
     rewrite =
-      (fun { Pass.options; init } p ->
+      (fun ctx p ->
         over_nest_keys p (fun p ~nest_var ~key ->
-            let p', acts = resolve_window options ~init p ~nest_var ~key in
+            let p', acts = resolve_window ctx p ~nest_var ~key in
             ( p',
               List.map
                 (fun action ->
@@ -530,10 +503,7 @@ let schedule_pass =
     description =
       "miss-packing (or balanced) scheduling of every innermost body \
        (paper §3.3)";
-    enabled =
-      (fun o ->
-        o.do_schedule
-        && match o.scheduler with No_schedule -> false | _ -> true);
+    enabled = (fun o -> o.do_schedule);
     rewrite =
       (fun { Pass.options; _ } p ->
         let p', n = schedule_innermost options p in
@@ -634,14 +604,13 @@ let select_passes only =
         passes
 
 let run ?(options = default_options) ?init ?only ?observe (p : program) =
-  let ctx = { Pass.options; init } in
   let passes = select_passes only in
   let passes =
     match options.chaos with
     | Some c -> Pass.with_chaos c p passes
     | None -> passes
   in
-  let p', trace = Pass.Pipeline.run ?observe ctx passes p in
+  let p', trace = Pass.Pipeline.run ?observe ?init options passes p in
   (p', report_of_trace trace)
 
 let pp_action = Pass.pp_action

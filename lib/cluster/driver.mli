@@ -52,7 +52,6 @@ type report = {
 type scheduler = Pass.scheduler =
   | Pack_misses  (** the window-conscious packing of §3.3 (default) *)
   | Balanced  (** statement-level balanced scheduling (comparison baseline) *)
-  | No_schedule
 
 type chaos = Pass.chaos = {
   chaos_seed : int;

@@ -7,7 +7,7 @@ open Ast
 (* Options shared by every pass                                        *)
 (* ------------------------------------------------------------------ *)
 
-type scheduler = Pack_misses | Balanced | No_schedule
+type scheduler = Pack_misses | Balanced
 
 (* Chaos testing: deterministically sabotage passes so the fail-safe
    guard's degradation path gets exercised end-to-end. *)
@@ -81,7 +81,7 @@ let chaos_of_strings ~spec ~fail_pass =
       in
       Some { chaos_seed; chaos_rate; fail_pass }
 
-type ctx = { options : options; init : (Data.t -> unit) option }
+type ctx = { options : options; pm : program -> int -> float }
 
 (* ------------------------------------------------------------------ *)
 (* Events: what a pass did, in terms the report can aggregate          *)
@@ -321,7 +321,12 @@ module Pipeline = struct
     events : event list;
   }
 
-  type trace = { program_name : string; entries : entry list; total_ms : float }
+  type trace = {
+    program_name : string;
+    entries : entry list;
+    total_ms : float;
+    executions : int;
+  }
 
   let degraded_passes trace =
     List.filter_map
@@ -375,171 +380,196 @@ module Pipeline = struct
 
   let now_ms () = Unix.gettimeofday () *. 1000.0
 
-  (* Differential-execution budgets. The reference run of the source
-     program is bounded tightly — when the workload is too big to
-     interpret cheaply, the guard falls back to structural validation
-     and crash containment. Candidates get headroom (prefetch insertion
-     and unrolling add some dynamic operations); a candidate that blows
-     even that is degraded as a runaway. *)
+  (* Differential-execution budgets. The source program's run is bounded
+     tightly — when the workload is too big to interpret cheaply, the
+     guard falls back to structural validation and crash containment.
+     Other programs get headroom (prefetch insertion and unrolling add
+     some dynamic operations); a candidate that blows even that is
+     degraded as a runaway. *)
   let diff_ref_max_ops = 64_000_000
   let diff_cand_max_ops = 128_000_000
 
-  let run ?(summaries = true) ?observe ctx passes p =
+  (* P_m outlives a pipeline run: the same program recurs across machine
+     configurations that differ only in parameters the profile doesn't
+     depend on (window, MSHR count). [p_name] is part of the digest, so
+     workloads with distinct initializers never collide. *)
+  let pm_cache : (int -> float) Memclust_util.Analysis_cache.t =
+    Memclust_util.Analysis_cache.create ~cap:512 ~name:"driver-profile-pm" ()
+
+  (* What one run of a program yields: the guard's reason to reject it
+     ([None]: agrees with the source, or no source store) and its P_m. *)
+  type execution = { verdict : string option; pm : (int -> float) Lazy.t }
+
+  let run ?observe ?init options passes p =
     let t_start = now_ms () in
     let p0 = Program.renumber p in
     let current = ref p0 in
-    let entries = ref [] in
-    let failsafe = ctx.options.failsafe in
-    (* The reference store — the source program's final data state —
-       computed lazily once per pipeline run. The paper's own methodology
-       (§4) defines correctness as semantic identity to the source, so
-       every pass is compared against the ORIGINAL program, not its
-       predecessor: rollback restores a last-good IR that is itself
+    let line_size = options.machine.Machine_model.line_size in
+    let key q =
+      Printf.sprintf "%d|%s|%s" line_size
+        (if Option.is_none init then "-" else "i")
+        (Digest.to_hex (Digest.string (Marshal.to_string q [])))
+    in
+    let fresh_store q =
+      let d = Data.create q in
+      Option.iter (fun f -> f d) init;
+      d
+    in
+    (* Each distinct program runs at most once per pipeline run, for the
+       guard and P_m profiling together. The paper's own methodology (§4)
+       defines correctness as semantic identity to the source, so every
+       program is compared against the ORIGINAL program's final store, not
+       its predecessor's: rollback restores a last-good IR that is itself
        equivalent to the source. *)
-    let reference =
-      lazy
-        (match ctx.init with
-        | None -> None
-        | Some init -> (
-            try
-              let d = Data.create p0 in
-              init d;
-              Exec.run ~max_ops:diff_ref_max_ops p0 d;
-              Some d
-            with Exec.Limit_exceeded -> None))
+    let executions = ref 0 in
+    let runs = Hashtbl.create 16 in
+    let key0 = key p0 in
+    let source_store = ref None in
+    let rec execute k q =
+      match Hashtbl.find_opt runs k with
+      | Some r -> r
+      | None ->
+          let source = String.equal k key0 in
+          let against = if source then None else reference () in
+          let profile =
+            if options.profile_pm then Some (Profile.recorder ~line_size q) else None
+          in
+          let emit = Option.fold ~none:Exec.null_emitter ~some:snd profile in
+          let d = fresh_store q in
+          incr executions;
+          let max_ops = if source then diff_ref_max_ops else diff_cand_max_ops in
+          let outcome =
+            match Exec.run ~emit ~max_ops q d with
+            | () -> Ok d
+            | exception e -> Error e
+          in
+          if source && Option.is_some init then
+            source_store := Result.to_option outcome;
+          let verdict =
+            Option.map (( ^ ) "differential execution: ")
+              (match (against, outcome) with
+              | None, _ -> None
+              | Some r, Ok d ->
+                  if Data.equal r d then None
+                  else Some "final stores diverge from the source program"
+              | Some _, Error Exec.Limit_exceeded ->
+                  Some "dynamic-operation budget exceeded (runaway rewrite?)"
+              | Some _, Error e ->
+                  (* a corrupted candidate may read a scalar it no longer
+                     defines: the interpreter's error is a divergence too *)
+                  Some ("candidate raised " ^ Printexc.to_string e))
+          in
+          let pm =
+            match (outcome, profile) with
+            | Ok _, None -> lazy (fun _ -> 1.0)
+            | Ok _, Some (t, _) ->
+                let pm = Profile.miss_rate t in
+                Memclust_util.Analysis_cache.set pm_cache k pm;
+                Lazy.from_val pm
+            | Error Exec.Limit_exceeded, _ ->
+                (* beyond the guard's budget: the profiler's own, larger one *)
+                lazy
+                  (Memclust_util.Analysis_cache.find_or_compute pm_cache k
+                     (fun () ->
+                       incr executions;
+                       Profile.miss_rate (Profile.run ~line_size q (fresh_store q))))
+            | Error e, _ -> lazy (raise e)
+          in
+          let r = { verdict; pm } in
+          Hashtbl.add runs k r;
+          r
+    (* the source's final store: none without [init], or if its run failed *)
+    and reference () =
+      if Option.is_some init then ignore (execute key0 p0);
+      !source_store
     in
-    let divergence candidate =
-      match (Lazy.force reference, ctx.init) with
-      | Some ref_store, Some init -> (
-          try
-            let d = Data.create candidate in
-            init d;
-            Exec.run ~max_ops:diff_cand_max_ops candidate d;
-            if Data.equal ref_store d then None
-            else Some "differential execution: final stores diverge from the source program"
-          with
-          | Exec.Limit_exceeded ->
-              Some "differential execution: dynamic-operation budget exceeded (runaway rewrite?)"
-          | e ->
-              (* a corrupted candidate may read a scalar it no longer
-                 defines: the interpreter's error is a divergence too *)
-              Some
-                ("differential execution: candidate raised "
-                ^ Printexc.to_string e))
-      | _ -> None
+    let divergence q =
+      if Option.is_none (reference ()) then None else (execute (key q) q).verdict
     in
-    let record entry = entries := entry :: !entries in
-    List.iter
-      (fun pass ->
-        if not (pass.enabled ctx.options) then begin
-          let size = measure !current in
-          record
+    (* a cached P_m spares a run; the guard's runs are never spared *)
+    let pm q =
+      if not options.profile_pm then fun _ -> 1.0
+      else
+        let k = key q in
+        match Memclust_util.Analysis_cache.find_opt pm_cache k with
+        | Some pm -> pm
+        | None -> Lazy.force (execute k q).pm
+    in
+    let ctx = { options; pm } in
+    let summary = ref (nest_summaries options p0) in
+    let entries =
+      List.map
+        (fun pass ->
+          let size_before = measure !current in
+          let skipped =
             {
               pass_name = pass.name;
               ran = false;
               wall_ms = 0.0;
-              size_before = size;
-              size_after = size;
+              size_before;
+              size_after = size_before;
               f_before = [];
               f_after = [];
               validated = true;
               degraded = None;
               events = [];
             }
-        end
-        else begin
-          let size_before = measure !current in
-          let f_before =
-            if summaries then nest_summaries ctx.options !current else []
           in
-          let t0 = now_ms () in
-          (* Roll back to the last-good IR: the program is untouched, the
-             failure is recorded in the trace, and the pipeline continues —
-             worst case the untransformed program ships. *)
-          let degrade ~validated ~events reason =
-            record
-              {
-                pass_name = pass.name;
-                ran = true;
-                wall_ms = now_ms () -. t0;
-                size_before;
-                size_after = size_before;
-                f_before;
-                f_after = [];
-                validated;
-                degraded = Some reason;
-                events;
-              }
-          in
-          let accept p' events =
-            let size_after = measure p' in
-            let f_after =
-              if summaries then nest_summaries ctx.options p' else []
+          if not (pass.enabled options) then skipped
+          else begin
+            let f_before = !summary in
+            let t0 = now_ms () in
+            let finish e =
+              { e with ran = true; wall_ms = now_ms () -. t0; f_before }
             in
-            current := p';
-            (match observe with Some f -> f pass.name p' | None -> ());
-            record
-              {
-                pass_name = pass.name;
-                ran = true;
-                wall_ms = now_ms () -. t0;
-                size_before;
-                size_after;
-                f_before;
-                f_after;
-                validated = true;
-                degraded = None;
-                events;
-              }
-          in
-          match pass.rewrite ctx !current with
-          | exception e ->
-              let reason =
-                Printf.sprintf "pass crashed: %s" (Printexc.to_string e)
-              in
-              if failsafe then degrade ~validated:true ~events:[] reason
-              else
-                Memclust_util.Error.raise_err
-                  (Memclust_util.Error.Pass_failed
-                     { pass = pass.name; reason })
-          | p', events -> (
-              let p' = Program.renumber p' in
-              match Program.validate p' with
-              | Error msg ->
-                  let detail = "invalid IR: " ^ msg in
-                  if failsafe then degrade ~validated:false ~events detail
-                  else
-                    Memclust_util.Error.raise_err
-                      (Memclust_util.Error.Legality_violation
-                         { pass = pass.name; detail })
-              | Ok () -> (
-                  match divergence p' with
-                  | Some detail ->
-                      if failsafe then degrade ~validated:false ~events detail
-                      else
-                        Memclust_util.Error.raise_err
-                          (Memclust_util.Error.Legality_violation
-                             { pass = pass.name; detail })
-                  | None -> accept p' events))
-        end)
-      passes;
+            (* Roll back to the last-good IR: the program is untouched, the
+               failure is recorded in the trace, and the pipeline continues —
+               worst case the untransformed program ships. *)
+            let reject ~validated ~events error reason =
+              if options.failsafe then
+                finish { skipped with validated; degraded = Some reason; events }
+              else Memclust_util.Error.raise_err (error reason)
+            in
+            let illegal detail =
+              Memclust_util.Error.Legality_violation { pass = pass.name; detail }
+            in
+            match pass.rewrite ctx !current with
+            | exception e ->
+                reject ~validated:true ~events:[]
+                  (fun reason ->
+                    Memclust_util.Error.Pass_failed { pass = pass.name; reason })
+                  ("pass crashed: " ^ Printexc.to_string e)
+            | p', events -> (
+                let p' = Program.renumber p' in
+                match Program.validate p' with
+                | Error msg ->
+                    reject ~validated:false ~events illegal ("invalid IR: " ^ msg)
+                | Ok () -> (
+                    match divergence p' with
+                    | Some detail -> reject ~validated:false ~events illegal detail
+                    | None ->
+                        let f_after = nest_summaries options p' in
+                        current := p';
+                        summary := f_after;
+                        Option.iter (fun f -> f pass.name p') observe;
+                        finish
+                          { skipped with size_after = measure p'; f_after; events }))
+          end)
+        passes
+    in
     ( !current,
       {
         program_name = p.p_name;
-        entries = List.rev !entries;
+        entries;
         total_ms = now_ms () -. t_start;
+        executions = !executions;
       } )
-
-  let run_result ?summaries ?observe ctx passes p =
-    match run ?summaries ?observe ctx passes p with
-    | v -> Ok v
-    | exception Memclust_util.Error.Error e -> Error e
 
   (* ---------------------------- rendering --------------------------- *)
 
   let pp_trace ppf trace =
-    Format.fprintf ppf "@[<v>pipeline %s (%.2f ms total)@," trace.program_name
-      trace.total_ms;
+    Format.fprintf ppf "@[<v>pipeline %s (%.2f ms total, %d executions)@,"
+      trace.program_name trace.total_ms trace.executions;
     List.iter
       (fun e ->
         if not e.ran then Format.fprintf ppf "  %-14s (disabled)@," e.pass_name
@@ -551,10 +581,7 @@ module Pipeline = struct
             (match e.degraded with
             | Some _ -> "DEGRADED"
             | None -> if e.validated then "ok" else "INVALID");
-          (match e.degraded with
-          | Some reason ->
-              Format.fprintf ppf "      rolled back: %s@," reason
-          | None -> ());
+          Option.iter (Format.fprintf ppf "      rolled back: %s@,") e.degraded;
           List.iter
             (fun ev -> Format.fprintf ppf "      %s@," (event_label ev))
             e.events
@@ -610,8 +637,9 @@ module Pipeline = struct
             e.events))
 
   let trace_to_json trace =
-    Printf.sprintf "{\"program\":\"%s\",\"total_ms\":%s,\"passes\":[%s]}"
+    Printf.sprintf
+      "{\"program\":\"%s\",\"total_ms\":%s,\"executions\":%d,\"passes\":[%s]}"
       (json_escape trace.program_name)
-      (json_float trace.total_ms)
+      (json_float trace.total_ms) trace.executions
       (String.concat ",\n  " (List.map entry_to_json trace.entries))
 end

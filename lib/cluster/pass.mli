@@ -22,7 +22,6 @@ open Ast
 type scheduler =
   | Pack_misses  (** the window-conscious packing of §3.3 (default) *)
   | Balanced  (** statement-level balanced scheduling (comparison baseline) *)
-  | No_schedule
 
 type chaos = {
   chaos_seed : int;
@@ -69,9 +68,9 @@ val chaos_of_strings : spec:string option -> fail_pass:string option -> chaos op
     count as absent; [None] when both are absent. Raises
     [Invalid_argument] on a malformed spec. *)
 
-type ctx = { options : options; init : (Data.t -> unit) option }
-(** What every pass may consult: the machine/flag options and the
-    workload's data initializer (for miss-rate profiling). *)
+type ctx = { options : options; pm : program -> int -> float }
+(** What every pass may consult: the machine/flag options and P_m per
+    static reference of a program (1.0 with [profile_pm] off). *)
 
 (** {1 Events} *)
 
@@ -100,7 +99,6 @@ type event =
   | Count of { what : string; n : int }
 
 val pp_action : Format.formatter -> action -> unit
-val event_label : event -> string
 
 (** {1 The pass record} *)
 
@@ -177,53 +175,46 @@ module Pipeline : sig
     events : event list;
   }
 
-  type trace = { program_name : string; entries : entry list; total_ms : float }
+  type trace = {
+    program_name : string;
+    entries : entry list;
+    total_ms : float;
+    executions : int;  (** interpreter runs, for the guard and P_m alike *)
+  }
 
   val degraded_passes : trace -> (string * string) list
   (** [(pass, reason)] for every degraded entry, in pipeline order. *)
 
   val measure : program -> ir_size
 
-  val nest_summaries : options -> program -> nest_summary list
-  (** Static f/α per innermost construct of every source nest, with
-      [pm = 1] (no profiling — this instruments every pass boundary, so it
-      must stay cheap). *)
-
   val run :
-    ?summaries:bool ->
     ?observe:(string -> program -> unit) ->
-    ctx ->
+    ?init:(Data.t -> unit) ->
+    options ->
     t list ->
     program ->
     program * trace
   (** Run the enabled passes in order, each under the fail-safe guard:
-      the result is renumbered, re-validated and — when the context has a
-      workload initializer and the source program fits the interpreter
-      op budget — differentially executed against the {e original}
-      program's final store. With [options.failsafe] (the default) a
-      pass that crashes, produces invalid IR or diverges semantically is
-      rolled back: the trace entry records [degraded] with the reason and
-      the pipeline continues from the last-good IR, so the worst case
-      ships the untransformed program, never a crash or wrong code. A
-      candidate whose differential run raises (say, reading a scalar it
-      no longer defines) counts as diverging. With
+      the result is renumbered, re-validated and — when there is a
+      workload initializer [init] and the source program fits the
+      interpreter op budget — differentially executed against the
+      {e original} program's final store. With [options.failsafe] (the
+      default) a pass that crashes, produces invalid IR or diverges
+      semantically is rolled back: the trace entry records [degraded]
+      with the reason and the pipeline continues from the last-good IR,
+      so the worst case ships the untransformed program, never a crash or
+      wrong code. A candidate whose differential run raises (say, reading
+      a scalar it no longer defines) counts as diverging. With
       [failsafe = false] the same detections raise
       [Memclust_util.Error.Error] ([Pass_failed] or
       [Legality_violation]) naming the pass.
 
-      [observe] is called with the pass name and the accepted program
-      after each pass that ran and was not rolled back.
-      [summaries:false] skips the f/α trace summaries. *)
+      Each distinct program runs at most once per call, for the guard's
+      verdict and the passes' P_m ([ctx.pm]) alike; a P_m already in the
+      process-wide ["driver-profile-pm"] cache costs no run.
 
-  val run_result :
-    ?summaries:bool ->
-    ?observe:(string -> program -> unit) ->
-    ctx ->
-    t list ->
-    program ->
-    (program * trace, Memclust_util.Error.t) result
-  (** {!run} with the [failsafe = false] errors returned instead of
-      raised. *)
+      [observe] is called with the pass name and the accepted program
+      after each pass that ran and was not rolled back. *)
 
   val pp_trace : Format.formatter -> trace -> unit
 

@@ -2,7 +2,7 @@ open Memclust_ir
 
 type t = { acc : int array; mis : int array }
 
-let run ?(cache_bytes = 64 * 1024) ?(assoc = 4) ?(line_size = 64) p data =
+let recorder ?(cache_bytes = 64 * 1024) ?(assoc = 4) ?(line_size = 64) p =
   let n = Program.max_ref_id p + 1 in
   let t = { acc = Array.make n 0; mis = Array.make n 0 } in
   (* one coherence version: a plain LRU cache *)
@@ -22,6 +22,10 @@ let run ?(cache_bytes = 64 * 1024) ?(assoc = 4) ?(line_size = 64) p data =
       e_store = (fun ~ref_id ~addr _ _ -> note ref_id addr; -1);
     }
   in
+  (t, emit)
+
+let run ?cache_bytes ?assoc ?line_size p data =
+  let t, emit = recorder ?cache_bytes ?assoc ?line_size p in
   Exec.run ~emit p (Data.copy data);
   t
 
@@ -31,5 +35,3 @@ let misses t id = if id >= 0 && id < Array.length t.mis then t.mis.(id) else 0
 let miss_rate t id =
   let a = accesses t id in
   if a = 0 then 1.0 else float_of_int (misses t id) /. float_of_int a
-
-let total_misses t = Array.fold_left ( + ) 0 t.mis

@@ -10,6 +10,16 @@ open Memclust_ir
 
 type t
 
+val recorder :
+  ?cache_bytes:int ->
+  ?assoc:int ->
+  ?line_size:int ->
+  Ast.program ->
+  t * Exec.emitter
+(** An empty profile and the emitter that fills it: the profile is
+    complete once {!Exec.run} of the program with that emitter returns,
+    so the run can serve other consumers too. Defaults as for {!run}. *)
+
 val run :
   ?cache_bytes:int ->
   ?assoc:int ->
@@ -28,4 +38,3 @@ val miss_rate : t -> int -> float
 (** [P_m] for reference [m]; 1.0 when the reference was never executed
     (the conservative assumption for unprofiled irregulars). *)
 
-val total_misses : t -> int

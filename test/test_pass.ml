@@ -101,6 +101,66 @@ let test_pass_selection () =
       Alcotest.(check bool) (name ^ " appears in JSON") true found)
     Driver.pass_names
 
+(* ---------------------- one execution per program ---------------------- *)
+
+let executions (r : Driver.report) = r.Driver.trace.Pass.Pipeline.executions
+
+let fig2a_init d =
+  for k = 0 to (64 * 64) - 1 do
+    Data.set d "a" k (Ast.Vfloat (float_of_int k *. 0.5))
+  done
+
+(* uniquify leaves fig2a alone and analyze only reads it: the source's
+   run is the guard's reference, uniquify's and analyze's candidates, and
+   analyze's P_m profile — one execution where there used to be four *)
+let test_unchanged_program_runs_once () =
+  let p = fig2a () in
+  List.iter
+    (fun (label, options) ->
+      Memclust_util.Analysis_cache.clear_all ();
+      let p', report =
+        Driver.run ~options ~init:fig2a_init ~only:[ "analyze" ] p
+      in
+      Alcotest.(check bool) (label ^ ": program unchanged") true
+        (p' = Program.renumber p);
+      Alcotest.(check int) (label ^ ": one execution") 1 (executions report))
+    [ ("profiled", Driver.default_options); ("unprofiled", no_profile) ];
+  (* profiling off builds no profile; with no initializer there is no
+     guard either, so nothing executes *)
+  Memclust_util.Analysis_cache.clear_all ();
+  let _, report = Driver.run ~options:no_profile p in
+  Alcotest.(check int) "no init, no profile: no execution" 0 (executions report);
+  let _, (_ : Driver.report) = Driver.run ~options:no_profile ~init:fig2a_init p in
+  Alcotest.(check (option int)) "no profile cached with profiling off" (Some 0)
+    (List.assoc_opt "driver-profile-pm" (Memclust_util.Analysis_cache.registered ()))
+
+(* Interpreter runs of the default pipeline per small workload, from a
+   cold profile cache: each distinct program the guard checks or a pass
+   profiles runs exactly once (the separate guard and profiler runs made
+   10, 12, 8, 14, 14, 8, 9 and 8). *)
+let test_executions_pinned () =
+  let pinned =
+    [
+      ("Latbench", 3);
+      ("Em3d", 8);
+      ("Erlebacher", 4);
+      ("FFT", 10);
+      ("LU", 10);
+      ("Mp3d", 3);
+      ("MST", 2);
+      ("Ocean", 4);
+    ]
+  in
+  List.iter
+    (fun (w : Workload.t) ->
+      Memclust_util.Analysis_cache.clear_all ();
+      let _, report = Driver.run ~init:w.Workload.init w.Workload.program in
+      Alcotest.(check (option int))
+        (w.Workload.name ^ " executions")
+        (List.assoc_opt w.Workload.name pinned)
+        (Some (executions report)))
+    (Registry.small ())
+
 (* --------------- postlude-stable top-level addressing --------------- *)
 
 (* Two identical reduction nests; [rows] is prime and larger than any
@@ -220,6 +280,13 @@ let () =
         [
           Alcotest.test_case "trace structure" `Quick test_trace_structure;
           Alcotest.test_case "pass selection" `Quick test_pass_selection;
+        ] );
+      ( "executions",
+        [
+          Alcotest.test_case "unchanged program runs once" `Quick
+            test_unchanged_program_runs_once;
+          Alcotest.test_case "pinned per small workload" `Quick
+            test_executions_pinned;
         ] );
       ( "traversal",
         [

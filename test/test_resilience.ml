@@ -296,6 +296,22 @@ let test_chaos_degrades_pinned_passes () =
       ("Ocean", [ "analyze c"; "unroll-jam c"; "window-unroll d"; "scalar-replace c" ]);
     ]
 
+(* The pipeline shares one execution per program between P_m profiling
+   and the guard. A second clustering finds every profile in the
+   process-wide cache, and must still run the guard: the same passes
+   degrade both times. *)
+let test_warm_profile_cache_keeps_guard () =
+  List.iter
+    (fun name ->
+      let w = Option.get (Registry.by_name name) in
+      Analysis_cache.clear_all ();
+      let cold = degraded_under (chaos 3 0.5) w in
+      let warm = degraded_under (chaos 3 0.5) w in
+      Alcotest.(check bool) (name ^ " degrades at least one pass") true (cold <> []);
+      Alcotest.(check (list string)) (name ^ " warm run degrades the same passes")
+        cold warm)
+    [ "Erlebacher"; "LU"; "Mp3d" ]
+
 (* --------------------------- crash containment -------------------------- *)
 
 let test_map_result_contains_crashes () =
@@ -435,6 +451,8 @@ let () =
           Alcotest.test_case "spec parses" `Quick test_chaos_spec_parses;
           Alcotest.test_case "guard contains interpreter errors" `Quick
             test_guard_contains_interpreter_errors;
+          Alcotest.test_case "warm profile cache keeps the guard" `Slow
+            test_warm_profile_cache_keeps_guard;
           Alcotest.test_case "degrades the pinned passes" `Slow
             test_chaos_degrades_pinned_passes;
         ] );
