@@ -16,52 +16,21 @@ open Memclust_sim
 open Memclust_workloads
 open Memclust_harness
 
-(* Run settings: the seven flags below build one Settings.t, validated
+(* Run settings: the six flags below build one Settings.t, validated
    here so a typo fails fast instead of deep inside a worker domain, and
    passed down to the harness as an argument. *)
 
 let sim_mode_arg =
-  let doc =
-    "Simulation mode: $(b,cycle), $(b,event) or \
-     $(b,sampled)[:PERIOD:WINDOW[:WARMUP]]. Defaults to event."
-  in
+  let doc = "Simulation mode: $(b,cycle) or $(b,event). Defaults to event." in
   Arg.(value & opt (some string) None & info [ "sim-mode" ] ~docv:"MODE" ~doc)
 
-let sample_period_arg =
-  let doc =
-    "Sampled mode with the given period (retired instructions per \
-     processor between detailed windows); window and warm-up scale \
-     proportionally. Shorthand for --sim-mode sampled:PERIOD:.."
-  in
-  Arg.(value & opt (some int) None & info [ "sample-period" ] ~docv:"N" ~doc)
-
-let with_sim_flags (settings : Settings.t) mode period =
-  let s =
-    match (period, mode) with
-    | None, m -> m
-    | Some p, (None | Some "sampled") ->
-        let w =
-          max 2
-            (p * Sampling.default.Sampling.window
-            / Sampling.default.Sampling.period)
-        in
-        Some (Printf.sprintf "sampled:%d:%d:%d" p w (max 1 (w / 4)))
-    | Some _, Some m ->
-        Printf.eprintf
-          "--sample-period only combines with sampled mode (got --sim-mode %s)\n"
-          m;
-        exit 1
-  in
-  match s with
+let with_sim_mode (settings : Settings.t) = function
   | None -> settings
   | Some s -> (
       match Machine.mode_of_string s with
       | Some m -> { settings with Settings.sim_mode = Some m }
       | None ->
-          Printf.eprintf
-            "bad simulation mode %s (cycle, event or \
-             sampled[:PERIOD:WINDOW[:WARMUP]])\n"
-            s;
+          Printf.eprintf "bad simulation mode %s (cycle or event)\n" s;
           exit 1)
 
 let watchdog_arg =
@@ -145,9 +114,8 @@ let resilience_term =
     const resilience_settings $ watchdog_arg $ time_budget_arg $ faults_arg
     $ chaos_arg $ fail_pass_arg)
 
-(* the resilience flags plus --sim-mode / --sample-period *)
-let settings_term =
-  Term.(const with_sim_flags $ resilience_term $ sim_mode_arg $ sample_period_arg)
+(* the resilience flags plus --sim-mode *)
+let settings_term = Term.(const with_sim_mode $ resilience_term $ sim_mode_arg)
 
 let list_cmd =
   let doc = "List experiment ids and workloads." in
@@ -287,13 +255,6 @@ let run_cmd =
       (Machine.mode_to_string
          (Machine.resolve_mode (Settings.config settings Config.base)))
       (engine b) (engine c);
-    let ci label (o : Experiment.outcome) =
-      match o.Experiment.estimate with
-      | Some est -> Format.printf "%s sampling estimate:@.  %a@." label Sampling.pp est
-      | None -> ()
-    in
-    ci "base" b;
-    ci "clustered" c;
     Format.printf "execution time reduction: %.1f%%@."
       (100.0
       *. (1.0

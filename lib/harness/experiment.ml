@@ -17,7 +17,6 @@ type spec = {
 type outcome = {
   spec : spec;
   result : Machine.result;
-  estimate : Sampling.estimate option;
   cluster_report : Driver.report option;
   trace : Pass.Pipeline.trace option;
   program : Ast.program;
@@ -102,12 +101,12 @@ let lowered_for (w : Workload.t) ~nprocs program =
    the ablation's "full pipeline" variant is exactly the Clustered
    version of the main tables — and [Machine.result] is only ever read
    by the reporting code. *)
-let sim_cache : (Machine.result * Sampling.estimate option) Analysis_cache.t =
+let sim_cache : Machine.result Analysis_cache.t =
   Analysis_cache.create ~cap:512 ~name:"harness-sim" ()
 
 (* the watchdogs only decide whether a run completes, never its result,
    so they stay out of the key *)
-let simulate_estimated ?(settings = Settings.default) (w : Workload.t)
+let simulate_cached ?(settings = Settings.default) (w : Workload.t)
     (cfg : Config.t) ~nprocs program =
   let cfg = Settings.config settings cfg in
   let key =
@@ -116,11 +115,8 @@ let simulate_estimated ?(settings = Settings.default) (w : Workload.t)
   in
   Analysis_cache.find_or_compute sim_cache key (fun () ->
       let lowered, home = lowered_for w ~nprocs program in
-      Machine.run_estimated ?watchdog_cycles:settings.Settings.watchdog_cycles
+      Machine.run ?watchdog_cycles:settings.Settings.watchdog_cycles
         ?time_budget:settings.Settings.time_budget cfg ~home lowered)
-
-let simulate_cached ?settings w cfg ~nprocs program =
-  fst (simulate_estimated ?settings w cfg ~nprocs program)
 
 let execute ?settings spec =
   let cfg = scaled_config spec.config spec.workload in
@@ -147,11 +143,11 @@ let execute ?settings spec =
         in
         (p, Some r)
   in
-  let result, estimate =
-    simulate_estimated ?settings spec.workload cfg ~nprocs:spec.nprocs program
+  let result =
+    simulate_cached ?settings spec.workload cfg ~nprocs:spec.nprocs program
   in
   let trace = Option.map (fun (r : Driver.report) -> r.Driver.trace) cluster_report in
-  { spec; result; estimate; cluster_report; trace; program }
+  { spec; result; cluster_report; trace; program }
 
 let outcome_cache : outcome Analysis_cache.t =
   Analysis_cache.create ~cap:512 ~name:"harness-outcome" ()

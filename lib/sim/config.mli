@@ -46,9 +46,8 @@ type t = {
                    (Exemplar hypernode); false: CC-NUMA per-node memory *)
   sim_mode : string option;
       (** simulation mode override for runs of this config, in
-          {!Machine.mode_of_string} syntax (["cycle"], ["event"],
-          ["sampled\[:period:window\[:warmup\]\]"]). [None] (the presets'
-          value) means the exact event-driven mode. *)
+          {!Machine.mode_of_string} syntax (["cycle"] or ["event"]).
+          [None] (the presets' value) means the event-driven mode. *)
   faults : Faults.plan option;
       (** fault-injection plan for the memory system of runs of this
           config. [None] (the presets' value) means no faults. *)

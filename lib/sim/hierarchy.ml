@@ -362,40 +362,3 @@ let replay_retry t ~miss_deltas ~mshr_full ~times =
     t.level_misses.(i) <- t.level_misses.(i) + (miss_deltas.(i) * times)
   done;
   t.mshr_full_count <- t.mshr_full_count + (mshr_full * times)
-
-(* ------------------------------------------------------------------ *)
-(* Functional warming (sampled mode): architectural side effects only —
-   cache contents and coherence versions — with no timing, no MSHR
-   allocation, no memory-system requests and no statistics. *)
-
-let warm_read t addr =
-  (* the MSHR files are almost always empty here (fast-forward runs after
-     a functional drain), and the last level's file holds every in-flight
-     miss; [Mshr.is_empty] is a field read, so this skips the per-level
-     hash probes per warmed reference *)
-  if Mshr.is_empty (bottom t).mshr || find_inflight t addr == Mshr.none then begin
-    (* uniprocessor coherence versions never move (a line's version only
-       bumps when a different processor writes it), so the versions table
-       probe is pure overhead there *)
-    let v =
-      if t.sh.nprocs = 1 then 0 else version_of (coherence t (coh_line t addr))
-    in
-    (* fill the levels the access missed (all of them on a full miss) *)
-    fill_above t (first_hit t ~version:v ~addr) ~version:v ~addr
-  end
-
-let warm_write t addr =
-  let v' =
-    if t.sh.nprocs = 1 then 0
-    else begin
-      let line = coh_line t addr in
-      let c = coherence t line in
-      let v = version_of c and w = writer_of c in
-      let v' = if w <> t.proc && w >= 0 then v + 1 else v in
-      commit t line ~version:v';
-      v'
-    end
-  in
-  fill_all t ~version:v' ~addr
-
-let reset_inflight t = Array.iter (fun lvl -> Mshr.reset lvl.mshr) t.levels

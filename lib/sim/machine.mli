@@ -51,18 +51,9 @@ type mode =
           when no core can change, [now] jumps to the earliest wake time.
           Produces bit-identical {!result} values to {!Cycle}, except for
           the engine counters [core_steps] and [executed_cycles]. *)
-  | Sampled of Sampling.params
-      (** systematic sampling: periodic detailed windows (run in event
-          mode, with a warm-up prefix excluded from statistics) separated
-          by functional fast-forward legs ({!Fastfwd}) charged at the
-          preceding window's CPI. Results are statistical estimates with
-          confidence intervals ({!run_estimated}); not bit-comparable to
-          the exact modes. *)
 
 val mode_of_string : string -> mode option
-(** Accepts ["cycle"], ["event"] and
-    ["sampled\[:period:window\[:warmup\]\]"] (case-insensitive; see
-    {!Sampling.parse}). *)
+(** Accepts ["cycle"] and ["event"] (case-insensitive). *)
 
 val mode_to_string : mode -> string
 
@@ -90,25 +81,9 @@ val run :
     changes state for [watchdog_cycles] consecutive simulated cycles
     (default 1 million), (c) event mode finds unfinished cores with no
     pending completion anywhere, or (d) the optional wall-clock budget
-    [time_budget] seconds (0 = disabled, the default) runs out. The watchdog only reads simulator state, so
-    results on non-wedged runs are bit-identical with it enabled.
-
-    In [Sampled] mode the result's counters are extrapolated estimates;
-    MSHR histograms cover only the detailed windows, and bus/bank
-    utilizations are measured over the detailed cycles. *)
-
-val run_estimated :
-  ?max_cycles:int ->
-  ?watchdog_cycles:int ->
-  ?time_budget:float ->
-  ?mode:mode ->
-  Config.t ->
-  home:(int -> int) ->
-  Lower.t ->
-  result * Sampling.estimate option
-(** Like {!run}, additionally returning the sampling estimate (confidence
-    intervals, window counts) when the resolved mode is [Sampled]; [None]
-    for the exact modes. *)
+    [time_budget] seconds (0 = disabled, the default) runs out. The
+    watchdog only reads simulator state, so results on non-wedged runs
+    are bit-identical with it enabled. *)
 
 val ns_per_cycle : Config.t -> float
 

@@ -40,7 +40,6 @@ let create ~cap =
 let capacity t = t.cap
 let occupancy t = t.n
 let read_occupancy t = t.read_occ
-let is_empty t = t.n = 0
 let full t = t.n >= t.cap
 
 let index t line =
@@ -87,9 +86,3 @@ let cleanup t ~now =
   !any
 
 let next_ready t = Pqueue.min_prio t.expiry
-
-let reset t =
-  Array.fill t.ents 0 t.n none;
-  t.n <- 0;
-  Pqueue.clear t.expiry;
-  t.read_occ <- 0

@@ -31,7 +31,6 @@ val occupancy : t -> int
 val read_occupancy : t -> int
 (** Entries with [has_read] (the paper's Figure 4 occupancy metric). *)
 
-val is_empty : t -> bool
 val full : t -> bool
 
 val none : entry
@@ -61,6 +60,3 @@ val cleanup : t -> now:int -> bool
 
 val next_ready : t -> int
 (** Earliest pending completion; [max_int] when the file is empty. *)
-
-val reset : t -> unit
-(** Drop all in-flight entries (sampled-mode functional drain). *)

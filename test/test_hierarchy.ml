@@ -73,7 +73,7 @@ let entry ?(ready = 100) ?(has_read = true) ?(has_write = false)
 
 let test_mshr_coalesce () =
   let m = Mshr.create ~cap:4 in
-  Alcotest.(check bool) "empty" true (Mshr.is_empty m);
+  Alcotest.(check int) "empty" 0 (Mshr.occupancy m);
   Mshr.insert m ~line:5 (entry ());
   Alcotest.(check int) "one entry" 1 (Mshr.occupancy m);
   Alcotest.(check bool) "coalescing probe finds it" true (Mshr.mem m 5);
@@ -110,9 +110,9 @@ let test_mshr_cleanup_and_read_occ () =
   Alcotest.(check bool) "expiry at ready" true (Mshr.cleanup m ~now:80);
   Alcotest.(check int) "two entries retired" 1 (Mshr.occupancy m);
   Alcotest.(check int) "retired read released" 1 (Mshr.read_occupancy m);
-  Mshr.reset m;
-  Alcotest.(check bool) "reset drains" true (Mshr.is_empty m);
-  Alcotest.(check int) "reset clears read occupancy" 0 (Mshr.read_occupancy m);
+  Alcotest.(check bool) "last expiry" true (Mshr.cleanup m ~now:120);
+  Alcotest.(check int) "cleanup drains" 0 (Mshr.occupancy m);
+  Alcotest.(check int) "drained read occupancy" 0 (Mshr.read_occupancy m);
   Alcotest.(check int) "empty file: no completion" max_int (Mshr.next_ready m)
 
 (* ----------------------------- Hierarchy ------------------------------ *)
@@ -148,20 +148,29 @@ let test_hierarchy_intermediate_hit () =
   (* evict a line from the L1 but not the L2: the read must complete at
      the L2 latency without touching memory *)
   let h = mk_hier () in
-  Hierarchy.warm_read h 0x40000;
-  (* base L1 is 16 KB direct-mapped: warming addr+16K evicts 0x40000 from
+  let t = accepted "cold miss rejected" (Hierarchy.read h ~now:0 0x40000) in
+  complete h t;
+  (* base L1 is 16 KB direct-mapped: reading addr+16K evicts 0x40000 from
      the L1; the 64 KB 4-way L2 keeps both *)
-  Hierarchy.warm_read h (0x40000 + (16 * 1024));
+  let now =
+    accepted "conflicting miss rejected"
+      (Hierarchy.read h ~now:t (0x40000 + (16 * 1024)))
+  in
+  complete h now;
+  let mem0 = Hierarchy.mem_misses h and before = Hierarchy.level_stats h in
   let l2_lat = (List.nth (Config.levels Config.base) 1).Config.lat in
-  Alcotest.(check int) "completes at the L2 latency" l2_lat
-    (accepted "L2-resident line must hit" (Hierarchy.read h ~now:0 0x40000));
-  Alcotest.(check int) "no memory traffic" 0 (Hierarchy.mem_misses h);
+  Alcotest.(check int) "completes at the L2 latency" (now + l2_lat)
+    (accepted "L2-resident line must hit" (Hierarchy.read h ~now 0x40000));
+  Alcotest.(check int) "no memory traffic" mem0 (Hierarchy.mem_misses h);
   let stats = Hierarchy.level_stats h in
-  Alcotest.(check int) "L1 missed" 1 stats.(0).Breakdown.lv_misses;
-  Alcotest.(check int) "L2 hit" 1 stats.(1).Breakdown.lv_hits;
+  Alcotest.(check int) "L1 missed" 1
+    (stats.(0).Breakdown.lv_misses - before.(0).Breakdown.lv_misses);
+  Alcotest.(check int) "L2 hit" 1
+    (stats.(1).Breakdown.lv_hits - before.(1).Breakdown.lv_hits);
   (* the hit refilled the L1: the next access hits at the top *)
-  Alcotest.(check int) "back to L1 latency" 101
-    (accepted "refilled line must hit" (Hierarchy.read h ~now:100 0x40000))
+  Alcotest.(check int) "back to L1 latency" (now + 101)
+    (accepted "refilled line must hit"
+       (Hierarchy.read h ~now:(now + 100) 0x40000))
 
 let test_hierarchy_coalesce () =
   let h = mk_hier () in
