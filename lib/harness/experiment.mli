@@ -38,6 +38,10 @@ val machine_of_config : Config.t -> Machine_model.t
     config, its chaos plan to the pass options, and its watchdogs to the
     simulator. *)
 
+val digest : 'a -> string
+(** Hex digest of a value's marshalled bytes: the program key of the
+    lowering and simulation caches. *)
+
 val transform :
   ?settings:Settings.t -> Config.t -> Workload.t -> Ast.program * Driver.report
 (** Cluster the workload for the given machine (memoized per workload,

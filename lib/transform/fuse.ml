@@ -54,9 +54,6 @@ let write_first stmts v =
   List.iter stmt stmts;
   !first = Some `Write
 
-(* unique rename stamp per invocation; see Unroll_jam *)
-let stamp_counter = Atomic.make 0 (* domain-safe: experiments transform in parallel *)
-
 let apply ?(params = []) ?(outer_ranges = []) (l1 : loop) (l2 : loop) =
   (* align the second loop onto the first's variable *)
   let l2 =
@@ -86,16 +83,8 @@ let apply ?(params = []) ?(outer_ranges = []) (l1 : loop) (l2 : loop) =
             (Legality.fusion_legal ~params ~outer_ranges ~var:l1.var l1 l2)
         then Error (Illegal "a dependence points backwards across the fusion")
         else begin
-          let stamp = Atomic.fetch_and_add stamp_counter 1 + 1 in
-          let body2 =
-            if shared = [] then l2.body
-            else
-              List.map
-                (Subst.rename_scalars (fun v ->
-                     if List.mem v shared then Printf.sprintf "%s$fused%d" v stamp
-                     else v))
-                l2.body
-          in
+          let rename = Subst.fresh_renaming ~tag:"$fused" shared (l1.body @ l2.body) in
+          let body2 = List.map (rename 1) l2.body in
           Ok
             (Loop
                {

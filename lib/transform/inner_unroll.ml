@@ -57,9 +57,6 @@ let const_bounds ~params (l : loop) =
   | lo, hi -> Some (lo, hi)
   | exception Exit -> None
 
-(* unique rename stamp per invocation; see Unroll_jam *)
-let stamp_counter = Atomic.make 0 (* domain-safe: experiments transform in parallel *)
-
 let apply ?(params = []) ~factor (l : loop) =
   if factor <= 1 then Ok [ Loop l ]
   else begin
@@ -71,21 +68,13 @@ let apply ?(params = []) ~factor (l : loop) =
         if count < factor then Error "fewer iterations than the unroll factor"
         else begin
           let to_rename = privatizable_scalars l.body in
-          let stamp = Atomic.fetch_and_add stamp_counter 1 + 1 in
+          let rename = Subst.fresh_renaming ~tag:"__k" to_rename l.body in
           let body =
             List.concat
               (List.init factor (fun k ->
-                   let rename st =
-                     if k = 0 then st
-                     else
-                       Subst.rename_scalars
-                         (fun v ->
-                           if List.mem v to_rename then
-                             Printf.sprintf "%s__k%d_%d" v stamp k
-                           else v)
-                         st
-                   in
-                   List.map (fun st -> rename (Subst.shift_var l.var (k * s) st)) l.body))
+                   List.map
+                     (fun st -> rename k (Subst.shift_var l.var (k * s) st))
+                     l.body))
           in
           let main =
             Loop

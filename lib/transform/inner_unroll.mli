@@ -1,8 +1,9 @@
 (** Inner-loop unrolling (paper §3.3, first stage of window-constraint
     resolution): replicate the innermost body so that the independent
     misses of several iterations are exposed to the local scheduler inside
-    one instruction window. Copies share scalars (sequential semantics of
-    the same loop), so loop-carried scalar recurrences remain correct. *)
+    one instruction window. Copies rename their privatizable scalars
+    ({!Subst.fresh_renaming}) and share the loop-carried ones (sequential
+    semantics of the same loop), so scalar recurrences remain correct. *)
 
 open Memclust_ir
 open Ast

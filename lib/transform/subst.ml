@@ -87,6 +87,39 @@ let rename_scalars f stmt =
   in
   go stmt
 
+(* Copy [k] of a renamed scalar [v] is [v ^ tag ^ s ^ "_" ^ k] under one
+   stamp [s]: the smallest under which no scalar of [stmts] already starts
+   with [v ^ tag ^ s ^ "_"]. So no new name is taken, not even by an
+   earlier rewrite's copies in the same statements (an outer
+   unroll-and-jam over an inner one turns "wr" and "wr__u1_1" into
+   "wr__u2_1" and "wr__u1_1__u2_1"). Looking only at [stmts] is enough:
+   every renamed scalar is privatized, written before it is read in the
+   body it was made for, so a scalar of the same name elsewhere in the
+   program is never live across the rewritten statements. The stamp
+   depends on nothing but the arguments, so a program always clusters to
+   the same names. *)
+let fresh_renaming ~tag vs stmts =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun st -> ignore (rename_scalars (fun v -> Hashtbl.replace seen v (); v) st))
+    stmts;
+  let stem s v = Printf.sprintf "%s%s%d_" v tag s in
+  let taken s =
+    List.exists
+      (fun v ->
+        let prefix = stem s v in
+        Seq.exists (String.starts_with ~prefix) (Hashtbl.to_seq_keys seen))
+      vs
+  in
+  let rec pick s = if taken s then pick (s + 1) else s in
+  let s = pick 1 in
+  fun k st ->
+    if k = 0 then st
+    else
+      rename_scalars
+        (fun v -> if List.mem v vs then stem s v ^ string_of_int k else v)
+        st
+
 let subst_var_affine v repl stmt =
   let fe = function
     | Ivar v' when String.equal v v' ->

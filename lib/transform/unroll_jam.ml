@@ -170,12 +170,6 @@ let const_bounds ~params (l : loop) =
   | lo, hi -> Some (lo, hi)
   | exception Exit -> None
 
-(* Every invocation stamps its renamed scalars uniquely, so repeated
-   passes over already-transformed code (an outer unroll-and-jam after an
-   inner one) can never collide: "wr" -> "wr__u3_1" never equals an
-   earlier pass's "wr__u2_1". *)
-let stamp_counter = Atomic.make 0 (* domain-safe: experiments transform in parallel *)
-
 let apply ?(params = []) ?(outer_ranges = []) ?(interchange_postlude = true)
     ~factor (l : loop) =
   if factor <= 1 then Ok [ Loop l ]
@@ -199,20 +193,12 @@ let apply ?(params = []) ?(outer_ranges = []) ?(interchange_postlude = true)
             List.sort_uniq String.compare
               (Program.scalars_written l.body @ chase_cvars l.body)
           in
-          let stamp = Atomic.fetch_and_add stamp_counter 1 + 1 in
+          (* copy k's scalars take the smallest stamp free in the body
+             (Subst.fresh_renaming), so an outer jam over an inner one
+             never collides: "wr__u1_1" stays beside the new "wr__u2_1" *)
+          let rename = Subst.fresh_renaming ~tag:"__u" to_rename l.body in
           let copy k =
-            let shift st = Subst.shift_var l.var (k * s) st in
-            let rename st =
-              if k = 0 then st
-              else
-                Subst.rename_scalars
-                  (fun v ->
-                    if List.mem v to_rename then
-                      Printf.sprintf "%s__u%d_%d" v stamp k
-                    else v)
-                  st
-            in
-            List.map (fun st -> rename (shift st)) l.body
+            List.map (fun st -> rename k (Subst.shift_var l.var (k * s) st)) l.body
           in
           let copies = List.init factor copy in
           match jam copies with

@@ -96,5 +96,3 @@ let min_prio t = if t.size = 0 then max_int else t.prios.(0)
 let min_value t =
   if t.size = 0 then invalid_arg "Pqueue.min_value: empty";
   t.values.(0)
-
-let clear t = t.size <- 0

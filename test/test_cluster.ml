@@ -319,6 +319,9 @@ let prop_driver_fuzz =
       | Ok () -> ()
       | Error e -> QCheck.Test.fail_reportf "generator produced invalid program: %s" e);
       let p', _ = Driver.run ~options:no_profile ~init:(Gen_program.init cfg) p in
+      let again, _ = Driver.run ~options:no_profile ~init:(Gen_program.init cfg) p in
+      if again <> p' then
+        QCheck.Test.fail_report "a second clustering of the same program differs";
       exec_equal p p' (Gen_program.init cfg))
 
 let prop_prefetch_fuzz =

@@ -247,6 +247,53 @@ let test_transform_respects_max_procs () =
         nest.Memclust_cluster.Driver.actions)
     report.Memclust_cluster.Driver.nests
 
+(* a clustering is a pure function of (program, options): neither what
+   the process clustered before nor the domain it ran on may change it *)
+let test_clustering_order_independent () =
+  let ws = Registry.small () in
+  let cluster w = fst (Experiment.transform Config.base w) in
+  let digest w = Experiment.digest (cluster w) in
+  let cold =
+    List.map
+      (fun w ->
+        Experiment.clear_caches ();
+        digest w)
+      ws
+  in
+  let after_others =
+    List.map
+      (fun (w : Workload.t) ->
+        Experiment.clear_caches ();
+        List.iter
+          (fun (o : Workload.t) ->
+            if not (String.equal o.Workload.name w.Workload.name) then
+              ignore (cluster o))
+          ws;
+        digest w)
+      ws
+  in
+  Experiment.clear_caches ();
+  let pool = Memclust_util.Domain_pool.create ~domains:2 () in
+  let pooled =
+    Fun.protect
+      ~finally:(fun () -> Memclust_util.Domain_pool.shutdown pool)
+      (fun () -> Memclust_util.Domain_pool.map pool digest ws)
+  in
+  List.iteri
+    (fun i (w : Workload.t) ->
+      let name = w.Workload.name in
+      Alcotest.(check string) (name ^ ": after the others") (List.nth cold i)
+        (List.nth after_others i);
+      Alcotest.(check string) (name ^ ": on the pool") (List.nth cold i)
+        (List.nth pooled i))
+    ws;
+  Alcotest.(check bool) "some workload has renamed scalars" true
+    (List.exists
+       (fun w ->
+         List.exists (contains ~sub:"__u")
+           (Program.scalars_written (cluster w).Ast.body))
+       ws)
+
 let () =
   Alcotest.run "harness"
     [
@@ -265,6 +312,8 @@ let () =
           Alcotest.test_case "l2 scaling" `Quick test_l2_scaling_applied;
           Alcotest.test_case "prefetched versions" `Quick test_prefetched_versions;
           Alcotest.test_case "max_procs cap" `Quick test_transform_respects_max_procs;
+          Alcotest.test_case "clustering is order-independent" `Quick
+            test_clustering_order_independent;
         ] );
       ( "figures",
         [
