@@ -86,11 +86,16 @@ let run_pass_times () =
         let t = report.Driver.trace in
         w.Workload.name
         :: List.map
-             (fun (e : Pass.Pipeline.entry) ->
-               if e.Pass.Pipeline.ran then
-                 Memclust_util.Table.fmt_float e.Pass.Pipeline.wall_ms
-               else "-")
-             t.Pass.Pipeline.entries)
+             (fun name ->
+               match
+                 List.find_opt
+                   (fun (e : Pass.Pipeline.entry) ->
+                     String.equal e.Pass.Pipeline.pass_name name)
+                   t.Pass.Pipeline.entries
+               with
+               | Some e -> Memclust_util.Table.fmt_float e.Pass.Pipeline.wall_ms
+               | None -> "-")
+             Driver.pass_names)
       ws
   in
   Printf.printf "==== per-pass transformation time (ms) ====\n";

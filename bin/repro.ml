@@ -74,6 +74,16 @@ let fail_pass_arg =
   in
   Arg.(value & opt (some string) None & info [ "fail-pass" ] ~docv:"PASS" ~doc)
 
+(* exit 1 on pass names the driver does not register, naming the flag *)
+let check_pass_names flag names =
+  match Memclust_cluster.Driver.unknown_passes names with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown pass %s in %s (have: %s)\n"
+        (String.concat ", " unknown) flag
+        (String.concat ", " Memclust_cluster.Driver.pass_names);
+      exit 1
+
 let resilience_settings watchdog budget faults chaos fail_pass =
   let bad fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n" s; exit 1) fmt in
   Option.iter
@@ -95,12 +105,7 @@ let resilience_settings watchdog budget faults chaos fail_pass =
     with Invalid_argument m ->
       bad "bad --chaos-passes %s: %s" (Option.value chaos ~default:"") m
   in
-  Option.iter
-    (fun p ->
-      if not (List.mem p Memclust_cluster.Driver.pass_names) then
-        bad "unknown --fail-pass %s (have: %s)" p
-          (String.concat ", " Memclust_cluster.Driver.pass_names))
-    fail_pass;
+  check_pass_names "--fail-pass" (Option.to_list fail_pass);
   {
     Settings.default with
     Settings.faults;
@@ -442,36 +447,39 @@ let machine_for (w : Workload.t) =
   }
 
 let passes_arg =
+  let open Memclust_cluster in
   let doc =
-    "Comma-separated pass names to run instead of the default pipeline \
-     (see `repro trace` output for the registered names); uniquify is \
-     always included."
+    Printf.sprintf
+      "Comma-separated names of the passes to run instead of the default \
+       %s; uniquify and analyze always run. Passes, in the order they \
+       run: %s."
+      (String.concat "," Driver.default_options.Driver.passes)
+      (String.concat ", " Driver.pass_names)
   in
   Arg.(
     value
     & opt (some (list ~sep:',' string)) None
     & info [ "passes" ] ~docv:"PASS,.." ~doc)
 
-let check_pass_names names =
-  let known = Memclust_cluster.Driver.pass_names in
-  match List.find_opt (fun n -> not (List.mem n known)) names with
-  | None -> ()
-  | Some n ->
-      Printf.eprintf "unknown pass %s (have: %s)\n" n (String.concat ", " known);
-      exit 1
+(* [--passes] replaces the default pass list *)
+let with_passes passes (options : Memclust_cluster.Driver.options) =
+  check_pass_names "--passes" (Option.value passes ~default:[]);
+  Option.fold ~none:options
+    ~some:(fun passes -> { options with Memclust_cluster.Driver.passes })
+    passes
 
 let show_cmd =
   let doc = "Print a workload's IR before and after clustering." in
-  let run name only =
+  let run name passes =
     let w = lookup name in
-    Option.iter check_pass_names only;
+    let open Memclust_cluster in
+    let options =
+      with_passes passes
+        { Driver.default_options with Driver.machine = machine_for w }
+    in
     Format.printf "==== %s: base ====@.%a@.@." w.Workload.name Pretty.pp_program
       w.Workload.program;
-    let open Memclust_cluster in
-    let options = { Driver.default_options with Driver.machine = machine_for w } in
-    let p, report =
-      Driver.run ~options ~init:w.Workload.init ?only w.Workload.program
-    in
+    let p, report = Driver.run ~options ~init:w.Workload.init w.Workload.program in
     Format.printf "==== clustering decisions ====@.%a@.@." Driver.pp_report
       report;
     Format.printf "==== %s: clustered ====@.%a@." w.Workload.name
@@ -495,9 +503,9 @@ let trace_cmd =
     let doc = "Write the traces as a JSON array to $(docv)." in
     Arg.(value & opt (some string) None & info [ "trace-json" ] ~docv:"FILE" ~doc)
   in
-  let run settings names only dump_after json_file =
+  let run settings names passes dump_after json_file =
     let open Memclust_cluster in
-    check_pass_names (Option.value only ~default:[] @ Option.to_list dump_after);
+    check_pass_names "--dump-after" (Option.to_list dump_after);
     let ws =
       match names with
       | [] -> Registry.latbench () :: Registry.applications ()
@@ -508,7 +516,8 @@ let trace_cmd =
         (fun (w : Workload.t) ->
           let options =
             Settings.options settings
-              { Driver.default_options with Driver.machine = machine_for w }
+              (with_passes passes
+                 { Driver.default_options with Driver.machine = machine_for w })
           in
           let observe =
             Option.map
@@ -519,8 +528,7 @@ let trace_cmd =
               dump_after
           in
           let _, report =
-            Driver.run ~options ~init:w.Workload.init ?only ?observe
-              w.Workload.program
+            Driver.run ~options ~init:w.Workload.init ?observe w.Workload.program
           in
           Format.printf "%a@." Pass.Pipeline.pp_trace report.Driver.trace;
           report.Driver.trace)

@@ -17,7 +17,6 @@ type action = Pass.action =
   | Inner_unroll of { inner_var : string; factor : int }
   | Rejected of { target_var : string; reason : string }
 
-type scheduler = Pass.scheduler = Pack_misses | Balanced
 type chaos = Pass.chaos = {
   chaos_seed : int;
   chaos_rate : float;
@@ -27,15 +26,7 @@ type chaos = Pass.chaos = {
 type options = Pass.options = {
   machine : Machine_model.t;
   profile_pm : bool;
-  do_unroll_jam : bool;
-  do_window : bool;
-  do_scalar_replace : bool;
-  do_schedule : bool;
-  scheduler : scheduler;
-  do_fuse : bool;
-  do_strip_mine : bool;
-  do_prefetch : bool;
-  failsafe : bool;
+  passes : string list;
   chaos : chaos option;
 }
 
@@ -246,18 +237,16 @@ let resolve_window ({ Pass.options; _ } as ctx) p ~nest_var ~key =
       | _ -> (p, []))
 
 (* ------------------------------------------------------------------ *)
-(* Miss-packing scheduling of innermost bodies                         *)
+(* Local scheduling of innermost bodies                                *)
 (* ------------------------------------------------------------------ *)
 
-let schedule_innermost options p =
+(* [reorder] is the local scheduler: miss packing (§3.3) or the balanced
+   baseline *)
+let schedule_innermost options reorder p =
   let loc = Locality.analyze ~line_size:options.machine.Machine_model.line_size p in
   let scheduled = ref 0 in
   let reorder body =
-    let body' =
-      match options.scheduler with
-      | Pack_misses -> Schedule.pack_misses loc body
-      | Balanced -> Balanced_sched.reorder loc body
-    in
+    let body' = reorder loc body in
     if body' != body && body' <> body then incr scheduled;
     body'
   in
@@ -284,8 +273,6 @@ let schedule_innermost options p =
 (* ------------------------------------------------------------------ *)
 (* The registered passes                                               *)
 (* ------------------------------------------------------------------ *)
-
-let always _ = true
 
 (* Chase pointer names are not uniquified, so an inner-construct key alone
    can repeat across nests; events qualify it with the nest variable so the
@@ -321,7 +308,6 @@ let uniquify_pass =
   {
     Pass.name = "uniquify";
     description = "rename loop variables so every counted loop is unique";
-    enabled = always;
     rewrite = (fun _ p -> (uniquify_loops p, []));
   }
 
@@ -331,7 +317,6 @@ let analyze_pass =
     description =
       "per-nest locality/dependence analysis: records alpha and the \
        initial f of every innermost construct";
-    enabled = always;
     rewrite =
       (fun ctx p ->
         over_nest_keys p (fun p ~nest_var ~key ->
@@ -361,7 +346,6 @@ let fuse_pass =
     description =
       "fuse adjacent fusable top-level loops (paper §6: clusters the \
        misses of unnested loops)";
-    enabled = (fun o -> o.do_fuse);
     rewrite =
       (fun _ p ->
         let p', n = Fuse.fuse_adjacent ~params:p.params p in
@@ -374,7 +358,6 @@ let strip_mine_pass =
     description =
       "strip-mine-and-interchange top-level perfect 2-nests (paper §2.2 \
        comparison transform)";
-    enabled = (fun o -> o.do_strip_mine);
     rewrite =
       (fun { Pass.options; _ } p ->
         let size = min 8 options.machine.Machine_model.max_unroll in
@@ -402,7 +385,6 @@ let unroll_jam_pass =
     description =
       "resolve memory-parallelism recurrences: binary-search the largest \
        unroll-and-jam degree keeping f <= alpha*lp (paper §3.2)";
-    enabled = (fun o -> o.do_unroll_jam);
     rewrite =
       (fun ({ Pass.options; _ } as ctx) p ->
         let lp = float_of_int options.machine.Machine_model.mshrs in
@@ -456,7 +438,6 @@ let window_pass =
     description =
       "inner-loop unrolling when the misses of one window's worth of \
        iterations cannot fill the MSHRs (paper §3.3)";
-    enabled = (fun o -> o.do_window);
     rewrite =
       (fun ctx p ->
         over_nest_keys p (fun p ~nest_var ~key ->
@@ -474,7 +455,6 @@ let scalar_replace_pass =
     description =
       "lift regular array loads into scalars and forward stored values \
        (the reuse unroll-and-jam creates, paper §2.2)";
-    enabled = (fun o -> o.do_scalar_replace);
     rewrite =
       (fun _ p ->
         let p', n = Scalar_replace.apply_innermost p in
@@ -487,7 +467,6 @@ let prefetch_insert_pass =
     description =
       "Mowry-style software prefetch insertion into innermost counted \
        loops (paper §1 comparison technique)";
-    enabled = (fun o -> o.do_prefetch);
     rewrite =
       (fun { Pass.options; _ } p ->
         let p', n =
@@ -497,18 +476,26 @@ let prefetch_insert_pass =
         (p', [ Pass.Count { what = "prefetches inserted"; n } ]));
   }
 
-let schedule_pass =
+let scheduling_pass name description reorder =
   {
-    Pass.name = "schedule";
-    description =
-      "miss-packing (or balanced) scheduling of every innermost body \
-       (paper §3.3)";
-    enabled = (fun o -> o.do_schedule);
+    Pass.name;
+    description;
     rewrite =
       (fun { Pass.options; _ } p ->
-        let p', n = schedule_innermost options p in
+        let p', n = schedule_innermost options reorder p in
         (p', [ Pass.Count { what = "bodies rescheduled"; n } ]));
   }
+
+let schedule_pass =
+  scheduling_pass "schedule"
+    "miss-packing scheduling of every innermost body (paper §3.3)"
+    Schedule.pack_misses
+
+let balanced_schedule_pass =
+  scheduling_pass "balanced-schedule"
+    "balanced scheduling of every innermost body (the §3.3 comparison \
+     baseline)"
+    Balanced_sched.reorder
 
 let passes =
   [
@@ -521,6 +508,7 @@ let passes =
     scalar_replace_pass;
     prefetch_insert_pass;
     schedule_pass;
+    balanced_schedule_pass;
   ]
 
 let pass_names = List.map (fun p -> p.Pass.name) passes
@@ -529,6 +517,9 @@ let pass_names = List.map (fun p -> p.Pass.name) passes
 (* Report assembly                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* [analyze] always runs, so every nest an action names has been seen;
+   only a crashed (rolled-back) [analyze] leaves none, and then the
+   actions are in the trace alone. *)
 let report_of_trace (trace : Pass.Pipeline.trace) =
   let nests : (string * nest_report) list ref = ref [] in
   let scalar_replaced = ref 0 in
@@ -536,39 +527,13 @@ let report_of_trace (trace : Pass.Pipeline.trace) =
     | Pass.Nest_seen { nest_index; inner_desc; key; alpha; f_initial } ->
         nests :=
           !nests @ [ (key, { nest_index; inner_desc; alpha; f_initial; actions = [] }) ]
-    | Pass.Nest_action { key; action } -> (
-        match List.assoc_opt key !nests with
-        | Some _ ->
-            nests :=
-              List.map
-                (fun (k, nr) ->
-                  if String.equal k key then (k, { nr with actions = nr.actions @ [ action ] })
-                  else (k, nr))
-                !nests
-        | None ->
-            (* the analyze pass was disabled: synthesize a bare nest entry.
-               Keys look like "nestvar/L:innervar" — recover the inner name. *)
-            let inner_desc =
-              let tail =
-                match String.index_opt key '/' with
-                | Some i -> String.sub key (i + 1) (String.length key - i - 1)
-                | None -> key
-              in
-              if String.length tail > 2 then
-                String.sub tail 2 (String.length tail - 2)
-              else tail
-            in
-            nests :=
-              !nests
-              @ [ ( key,
-                    {
-                      nest_index = -1;
-                      inner_desc;
-                      alpha = 0.0;
-                      f_initial = 0.0;
-                      actions = [ action ];
-                    } );
-                ])
+    | Pass.Nest_action { key; action } ->
+        nests :=
+          List.map
+            (fun (k, nr) ->
+              if String.equal k key then (k, { nr with actions = nr.actions @ [ action ] })
+              else (k, nr))
+            !nests
     | Pass.Count { what; n } ->
         if String.equal what "scalar-replaced" then
           scalar_replaced := !scalar_replaced + n
@@ -582,29 +547,26 @@ let report_of_trace (trace : Pass.Pipeline.trace) =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let select_passes only =
-  match only with
-  | None -> passes
-  | Some names ->
-      List.iter
-        (fun n ->
-          if not (List.mem n pass_names) then
-            invalid_arg
-              (Printf.sprintf "Cluster.Driver: unknown pass %S (have: %s)" n
-                 (String.concat ", " pass_names)))
-        names;
-      List.map
-        (fun p ->
-          (* uniquify underpins the name-keyed traversal of every other
-             pass; it cannot be opted out of *)
-          if String.equal p.Pass.name "uniquify" then p
-          else
-            let on = List.mem p.Pass.name names in
-            { p with Pass.enabled = (fun _ -> on) })
-        passes
+let unknown_passes names = List.filter (fun n -> not (List.mem n pass_names)) names
 
-let run ?(options = default_options) ?init ?only ?observe (p : program) =
-  let passes = select_passes only in
+(* uniquify underpins the name-keyed traversal of every other pass, and
+   analyze records the nests the report is built from *)
+let always_run = [ "uniquify"; "analyze" ]
+
+let run ?(options = default_options) ?init ?observe (p : program) =
+  let fail_pass = Option.bind options.chaos (fun c -> c.fail_pass) in
+  (match unknown_passes (options.passes @ Option.to_list fail_pass) with
+  | [] -> ()
+  | unknown ->
+      invalid_arg
+        (Printf.sprintf "Cluster.Driver: unknown pass %s (have: %s)"
+           (String.concat ", " unknown)
+           (String.concat ", " pass_names)));
+  let passes =
+    List.filter
+      (fun pass -> List.mem pass.Pass.name (always_run @ options.passes))
+      passes
+  in
   let passes =
     match options.chaos with
     | Some c -> Pass.with_chaos c p passes

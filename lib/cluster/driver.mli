@@ -1,14 +1,13 @@
 (** End-to-end clustering driver: the compiler algorithm of paper §3,
     expressed as a declarative pipeline of named {!Pass.t} passes run by
-    {!Pass.Pipeline.run}:
+    {!Pass.Pipeline.run}. The registered passes, in execution order:
 
     + [uniquify] — make every loop variable unique (nests are addressed by
       variable from here on);
     + [analyze] — locality analysis, (optionally) miss-rate profiling, the
       memory-parallelism dependence graph and α/f of every innermost
       loop-like construct;
-    + [fuse], [strip-mine] — optional comparison/extension transforms
-      (disabled by default);
+    + [fuse], [strip-mine] — optional comparison/extension transforms;
     + [unroll-jam] — if a loop has a recurrence and f < α·lp,
       binary-search the largest unroll-and-jam degree of an enclosing loop
       that keeps f ≤ α·lp (re-analyzing after each trial);
@@ -16,11 +15,16 @@
       iterations cannot fill the MSHRs;
     + [scalar-replace], [prefetch] (optional), [schedule] — scalar
       replacement, prefetch insertion and miss-packing scheduling of every
-      innermost body.
+      innermost body;
+    + [balanced-schedule] — balanced scheduling of every innermost body,
+      the §3.3 comparison baseline (optional).
 
-    The result is a transformed program plus a report of every decision
-    and the pipeline's instrumentation trace (per-pass wall time, IR-size
-    deltas, validation status). *)
+    [uniquify] and [analyze] always run; [options.passes] names the
+    others (default [unroll-jam], [window-unroll], [scalar-replace],
+    [schedule]). The result is a transformed program plus a report of
+    every decision and the pipeline's instrumentation trace (per-pass
+    wall time, IR-size deltas, validation status) of the passes that
+    ran. *)
 
 open Memclust_ir
 
@@ -49,10 +53,6 @@ type report = {
   trace : Pass.Pipeline.trace;  (** per-pass instrumentation *)
 }
 
-type scheduler = Pass.scheduler =
-  | Pack_misses  (** the window-conscious packing of §3.3 (default) *)
-  | Balanced  (** statement-level balanced scheduling (comparison baseline) *)
-
 type chaos = Pass.chaos = {
   chaos_seed : int;
   chaos_rate : float;
@@ -64,17 +64,10 @@ type chaos = Pass.chaos = {
 type options = Pass.options = {
   machine : Machine_model.t;
   profile_pm : bool;  (** measure P_m by cache profiling (needs [init]) *)
-  do_unroll_jam : bool;
-  do_window : bool;  (** inner unrolling for window constraints *)
-  do_scalar_replace : bool;
-  do_schedule : bool;  (** run a local scheduler at all *)
-  scheduler : scheduler;
-  do_fuse : bool;  (** optional fusion pass (paper §6), default off *)
-  do_strip_mine : bool;  (** optional strip-mine pass (§2.2), default off *)
-  do_prefetch : bool;  (** optional prefetch-insertion pass, default off *)
-  failsafe : bool;
-      (** guard every pass, rolling back failures as degraded (default;
-          see {!Pass.Pipeline.run}) *)
+  passes : string list;
+      (** names of the passes to run besides [uniquify] and [analyze]
+          (naming those two is accepted); a set, run in the order of
+          {!passes} *)
   chaos : chaos option;
       (** sabotage injection (default [None]): {!run} wraps the passes
           with {!Pass.with_chaos} *)
@@ -87,20 +80,22 @@ val passes : Pass.t list
 
 val pass_names : string list
 
+val unknown_passes : string list -> string list
+(** The names in the list that are not registered passes, in order. *)
+
 val run :
   ?options:options ->
   ?init:(Data.t -> unit) ->
-  ?only:string list ->
   ?observe:(string -> Ast.program -> unit) ->
   Ast.program ->
   Ast.program * report
 (** Transform the program. [init] fills a fresh store with the workload's
     data (pointer chains, index arrays) so profiling sees real access
     patterns; without it, irregular references are assumed to always miss
-    (P_m = 1). [only] restricts the pipeline to the named passes
-    (overriding the option flags; [uniquify] always runs; unknown names
-    raise [Invalid_argument]). [observe] is called with the pass name and
-    program after every pass that ran. The returned program is renumbered
-    and validated after every pass. *)
+    (P_m = 1). A name in [options.passes] or in the chaos plan's
+    [fail_pass] that is not a registered pass raises [Invalid_argument].
+    [observe] is called with the pass name and program after every pass
+    that was not rolled back. The returned program is renumbered and
+    validated after every pass. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -7,8 +7,6 @@ open Ast
 (* Options shared by every pass                                        *)
 (* ------------------------------------------------------------------ *)
 
-type scheduler = Pack_misses | Balanced
-
 (* Chaos testing: deterministically sabotage passes so the fail-safe
    guard's degradation path gets exercised end-to-end. *)
 type chaos = {
@@ -20,15 +18,7 @@ type chaos = {
 type options = {
   machine : Machine_model.t;
   profile_pm : bool;
-  do_unroll_jam : bool;
-  do_window : bool;
-  do_scalar_replace : bool;
-  do_schedule : bool;
-  scheduler : scheduler;
-  do_fuse : bool;
-  do_strip_mine : bool;
-  do_prefetch : bool;
-  failsafe : bool;
+  passes : string list;
   chaos : chaos option;
 }
 
@@ -36,15 +26,7 @@ let default_options =
   {
     machine = Machine_model.base;
     profile_pm = true;
-    do_unroll_jam = true;
-    do_window = true;
-    do_scalar_replace = true;
-    do_schedule = true;
-    scheduler = Pack_misses;
-    do_fuse = false;
-    do_strip_mine = false;
-    do_prefetch = false;
-    failsafe = true;
+    passes = [ "unroll-jam"; "window-unroll"; "scalar-replace"; "schedule" ];
     chaos = None;
   }
 
@@ -63,9 +45,7 @@ let chaos_of_strings ~spec ~fail_pass =
             let bad () =
               invalid_arg
                 (Printf.sprintf
-                   "MEMCLUST_CHAOS_PASSES: expected SEED[:RATE] with RATE in \
-                    [0,1], got %S"
-                   s)
+                   "expected SEED[:RATE] with RATE in [0,1], got %S" s)
             in
             match String.split_on_char ':' (String.trim s) with
             | [ seed ] -> (
@@ -131,7 +111,6 @@ let event_label = function
 type t = {
   name : string;
   description : string;
-  enabled : options -> bool;
   rewrite : ctx -> program -> program * event list;
 }
 
@@ -276,7 +255,7 @@ let corrupt_program (p : program) =
    ships the real result minus one assignment, and the pipeline's guard
    must contain both. One stream per run, seeded from the program name,
    draws a float then a bool each time a wrapped pass runs (the pipeline
-   calls [rewrite] for enabled passes only). uniquify is never sabotaged:
+   calls [rewrite] once per pass it is given). uniquify is never sabotaged:
    every later pass keys nests by the globally-unique loop variables it
    establishes. *)
 let with_chaos c (p : program) passes =
@@ -310,7 +289,6 @@ module Pipeline = struct
 
   type entry = {
     pass_name : string;
-    ran : bool;
     wall_ms : float;
     size_before : ir_size;
     size_after : ir_size;
@@ -424,13 +402,15 @@ module Pipeline = struct
     let executions = ref 0 in
     let runs = Hashtbl.create 16 in
     let key0 = key p0 in
+    (* the source's final store: none without [init], or if its run
+       failed *)
     let source_store = ref None in
-    let rec execute k q =
+    let execute k q =
       match Hashtbl.find_opt runs k with
       | Some r -> r
       | None ->
           let source = String.equal k key0 in
-          let against = if source then None else reference () in
+          let against = if source then None else !source_store in
           let profile =
             if options.profile_pm then Some (Profile.recorder ~line_size q) else None
           in
@@ -478,13 +458,12 @@ module Pipeline = struct
           let r = { verdict; pm } in
           Hashtbl.add runs k r;
           r
-    (* the source's final store: none without [init], or if its run failed *)
-    and reference () =
-      if Option.is_some init then ignore (execute key0 p0);
-      !source_store
     in
+    (* the source's run is the guard's reference: made before the first
+       pass, so that no pass's wall time is charged with it *)
+    if Option.is_some init then ignore (execute key0 p0);
     let divergence q =
-      if Option.is_none (reference ()) then None else (execute (key q) q).verdict
+      if Option.is_none !source_store then None else (execute (key q) q).verdict
     in
     (* a cached P_m spares a run; the guard's runs are never spared *)
     let pm q =
@@ -501,60 +480,46 @@ module Pipeline = struct
       List.map
         (fun pass ->
           let size_before = measure !current in
-          let skipped =
+          let f_before = !summary in
+          let t0 = now_ms () in
+          let entry ~size_after ~f_after ~validated ~degraded events =
             {
               pass_name = pass.name;
-              ran = false;
-              wall_ms = 0.0;
+              wall_ms = now_ms () -. t0;
               size_before;
-              size_after = size_before;
-              f_before = [];
-              f_after = [];
-              validated = true;
-              degraded = None;
-              events = [];
+              size_after;
+              f_before;
+              f_after;
+              validated;
+              degraded;
+              events;
             }
           in
-          if not (pass.enabled options) then skipped
-          else begin
-            let f_before = !summary in
-            let t0 = now_ms () in
-            let finish e =
-              { e with ran = true; wall_ms = now_ms () -. t0; f_before }
-            in
-            (* Roll back to the last-good IR: the program is untouched, the
-               failure is recorded in the trace, and the pipeline continues —
-               worst case the untransformed program ships. *)
-            let reject ~validated ~events error reason =
-              if options.failsafe then
-                finish { skipped with validated; degraded = Some reason; events }
-              else Memclust_util.Error.raise_err (error reason)
-            in
-            let illegal detail =
-              Memclust_util.Error.Legality_violation { pass = pass.name; detail }
-            in
-            match pass.rewrite ctx !current with
-            | exception e ->
-                reject ~validated:true ~events:[]
-                  (fun reason ->
-                    Memclust_util.Error.Pass_failed { pass = pass.name; reason })
-                  ("pass crashed: " ^ Printexc.to_string e)
-            | p', events -> (
-                let p' = Program.renumber p' in
-                match Program.validate p' with
-                | Error msg ->
-                    reject ~validated:false ~events illegal ("invalid IR: " ^ msg)
-                | Ok () -> (
-                    match divergence p' with
-                    | Some detail -> reject ~validated:false ~events illegal detail
-                    | None ->
-                        let f_after = nest_summaries options p' in
-                        current := p';
-                        summary := f_after;
-                        Option.iter (fun f -> f pass.name p') observe;
-                        finish
-                          { skipped with size_after = measure p'; f_after; events }))
-          end)
+          (* Roll back to the last-good IR: the program is untouched, the
+             failure is recorded in the trace, and the pipeline continues —
+             worst case the untransformed program ships. *)
+          let reject ~validated ~events reason =
+            entry ~size_after:size_before ~f_after:[] ~validated
+              ~degraded:(Some reason) events
+          in
+          match pass.rewrite ctx !current with
+          | exception e ->
+              reject ~validated:true ~events:[]
+                ("pass crashed: " ^ Printexc.to_string e)
+          | p', events -> (
+              let p' = Program.renumber p' in
+              match Program.validate p' with
+              | Error msg -> reject ~validated:false ~events ("invalid IR: " ^ msg)
+              | Ok () -> (
+                  match divergence p' with
+                  | Some detail -> reject ~validated:false ~events detail
+                  | None ->
+                      let f_after = nest_summaries options p' in
+                      current := p';
+                      summary := f_after;
+                      Option.iter (fun f -> f pass.name p') observe;
+                      entry ~size_after:(measure p') ~f_after ~validated:true
+                        ~degraded:None events)))
         passes
     in
     ( !current,
@@ -572,20 +537,16 @@ module Pipeline = struct
       trace.program_name trace.total_ms trace.executions;
     List.iter
       (fun e ->
-        if not e.ran then Format.fprintf ppf "  %-14s (disabled)@," e.pass_name
-        else begin
-          Format.fprintf ppf
-            "  %-14s %7.2f ms  stmts %d->%d  refs %d->%d  [%s]@," e.pass_name
-            e.wall_ms e.size_before.stmts e.size_after.stmts
-            e.size_before.static_refs e.size_after.static_refs
-            (match e.degraded with
-            | Some _ -> "DEGRADED"
-            | None -> if e.validated then "ok" else "INVALID");
-          Option.iter (Format.fprintf ppf "      rolled back: %s@,") e.degraded;
-          List.iter
-            (fun ev -> Format.fprintf ppf "      %s@," (event_label ev))
-            e.events
-        end)
+        Format.fprintf ppf "  %-17s %7.2f ms  stmts %d->%d  refs %d->%d  [%s]@,"
+          e.pass_name e.wall_ms e.size_before.stmts e.size_after.stmts
+          e.size_before.static_refs e.size_after.static_refs
+          (match e.degraded with
+          | Some _ -> "DEGRADED"
+          | None -> if e.validated then "ok" else "INVALID");
+        Option.iter (Format.fprintf ppf "      rolled back: %s@,") e.degraded;
+        List.iter
+          (fun ev -> Format.fprintf ppf "      %s@," (event_label ev))
+          e.events)
       trace.entries;
     Format.fprintf ppf "@]"
 
@@ -622,8 +583,8 @@ module Pipeline = struct
 
   let entry_to_json e =
     Printf.sprintf
-      "{\"name\":\"%s\",\"ran\":%b,\"wall_ms\":%s,\"stmts_before\":%d,\"stmts_after\":%d,\"refs_before\":%d,\"refs_after\":%d,\"validated\":%b,\"degraded\":%s,\"f_before\":%s,\"f_after\":%s,\"events\":[%s]}"
-      (json_escape e.pass_name) e.ran (json_float e.wall_ms)
+      "{\"name\":\"%s\",\"wall_ms\":%s,\"stmts_before\":%d,\"stmts_after\":%d,\"refs_before\":%d,\"refs_after\":%d,\"validated\":%b,\"degraded\":%s,\"f_before\":%s,\"f_after\":%s,\"events\":[%s]}"
+      (json_escape e.pass_name) (json_float e.wall_ms)
       e.size_before.stmts e.size_after.stmts e.size_before.static_refs
       e.size_after.static_refs e.validated
       (match e.degraded with

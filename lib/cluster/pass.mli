@@ -4,24 +4,21 @@
     graph, f/α per Equations 1–4), then rewrite (unroll-and-jam, inner
     unrolling, scalar replacement, miss-packing scheduling). This module
     gives each stage the shape of classic compiler infrastructure: a
-    named {!t} with a rewrite function and an enabled-predicate, run by
-    {!Pipeline.run}, which after {e every} pass renumbers and validates
-    the program (failing fast with the offending pass named) and records
-    wall-clock time, IR-size deltas and before/after f/α summaries into a
-    structured {!Pipeline.trace}.
+    named {!t} with a rewrite function, run by {!Pipeline.run}, which
+    after {e every} pass renumbers, validates and differentially executes
+    the program (rolling a failing pass back, with the pass named) and
+    records wall-clock time, IR-size deltas and before/after f/α
+    summaries into a structured {!Pipeline.trace}.
 
-    The standard pipeline lives in {!Driver}; this module is the
-    machinery plus the nest-traversal helpers the passes share. *)
+    The standard pipeline lives in {!Driver}, which picks the passes to
+    run by the names in [options.passes]; this module is the machinery
+    plus the nest-traversal helpers the passes share. *)
 
 open Memclust_ir
 open Memclust_depgraph
 open Ast
 
 (** {1 Options} *)
-
-type scheduler =
-  | Pack_misses  (** the window-conscious packing of §3.3 (default) *)
-  | Balanced  (** statement-level balanced scheduling (comparison baseline) *)
 
 type chaos = {
   chaos_seed : int;
@@ -31,7 +28,8 @@ type chaos = {
           result), drawn deterministically from the seed *)
   fail_pass : string option;
       (** a pass name to corrupt unconditionally ([uniquify] is never
-          sabotaged: later passes key nests by its unique variables) *)
+          sabotaged: later passes key nests by its unique variables); a
+          name that is not a registered pass makes {!Driver.run} raise *)
 }
 (** Chaos testing for the fail-safe pipeline: deterministic, seeded
     sabotage of passes, so graceful degradation is exercisable
@@ -40,20 +38,11 @@ type chaos = {
 type options = {
   machine : Machine_model.t;
   profile_pm : bool;  (** measure P_m by cache profiling (needs [init]) *)
-  do_unroll_jam : bool;
-  do_window : bool;  (** inner unrolling for window constraints *)
-  do_scalar_replace : bool;
-  do_schedule : bool;  (** run a local scheduler at all *)
-  scheduler : scheduler;
-  do_fuse : bool;  (** fuse adjacent top-level loops first (§6, off) *)
-  do_strip_mine : bool;
-      (** strip-mine-and-interchange top-level 2-nests (§2.2 comparison,
-          off) *)
-  do_prefetch : bool;  (** software prefetch insertion after clustering (off) *)
-  failsafe : bool;
-      (** guard every pass (default): a pass that crashes, produces
-          invalid IR or changes program semantics is rolled back and
-          recorded as degraded instead of failing the pipeline *)
+  passes : string list;
+      (** the registered passes to run besides [uniquify] and [analyze],
+          which always run; a set, run in the order of {!Driver.passes}
+          (default
+          [unroll-jam], [window-unroll], [scalar-replace], [schedule]) *)
   chaos : chaos option;
       (** sabotage injection (default [None]); {!Driver.run} applies it
           with {!with_chaos} *)
@@ -69,7 +58,7 @@ val chaos_of_strings : spec:string option -> fail_pass:string option -> chaos op
     [Invalid_argument] on a malformed spec. *)
 
 type ctx = { options : options; pm : program -> int -> float }
-(** What every pass may consult: the machine/flag options and P_m per
+(** What every pass may consult: the options and P_m per
     static reference of a program (1.0 with [profile_pm] off). *)
 
 (** {1 Events} *)
@@ -105,7 +94,6 @@ val pp_action : Format.formatter -> action -> unit
 type t = {
   name : string;
   description : string;
-  enabled : options -> bool;  (** consulted by {!Pipeline.run} *)
   rewrite : ctx -> program -> program * event list;
       (** must return a structurally valid program; the pipeline renumbers
           and validates after every pass *)
@@ -159,7 +147,6 @@ module Pipeline : sig
 
   type entry = {
     pass_name : string;
-    ran : bool;  (** false: disabled by its predicate, program untouched *)
     wall_ms : float;
     size_before : ir_size;
     size_after : ir_size;
@@ -194,27 +181,27 @@ module Pipeline : sig
     t list ->
     program ->
     program * trace
-  (** Run the enabled passes in order, each under the fail-safe guard:
+  (** Run the given passes in order, each under the fail-safe guard:
       the result is renumbered, re-validated and — when there is a
       workload initializer [init] and the source program fits the
       interpreter op budget — differentially executed against the
-      {e original} program's final store. With [options.failsafe] (the
-      default) a pass that crashes, produces invalid IR or diverges
-      semantically is rolled back: the trace entry records [degraded]
-      with the reason and the pipeline continues from the last-good IR,
-      so the worst case ships the untransformed program, never a crash or
-      wrong code. A candidate whose differential run raises (say, reading
-      a scalar it no longer defines) counts as diverging. With
-      [failsafe = false] the same detections raise
-      [Memclust_util.Error.Error] ([Pass_failed] or
-      [Legality_violation]) naming the pass.
+      {e original} program's final store. A pass that crashes, produces
+      invalid IR or diverges semantically is rolled back: the trace entry
+      records [degraded] with the reason and the pipeline continues from
+      the last-good IR, so the worst case ships the untransformed
+      program, never a crash or wrong code. A candidate whose
+      differential run raises (say, reading a scalar it no longer
+      defines) counts as diverging. The trace has one entry per pass
+      given.
 
       Each distinct program runs at most once per call, for the guard's
       verdict and the passes' P_m ([ctx.pm]) alike; a P_m already in the
-      process-wide ["driver-profile-pm"] cache costs no run.
+      process-wide ["driver-profile-pm"] cache costs no run. With [init],
+      the source program runs before the first pass starts, so its run
+      counts in [total_ms] but in no pass's [wall_ms].
 
       [observe] is called with the pass name and the accepted program
-      after each pass that ran and was not rolled back. *)
+      after each pass that was not rolled back. *)
 
   val pp_trace : Format.formatter -> trace -> unit
 

@@ -441,23 +441,24 @@ let prefetch ?settings () =
 (* which driver stage buys what (DESIGN.md ablation) *)
 let ablation ?(settings = Settings.default) () =
   let open Memclust_cluster in
+  let full = Driver.default_options in
+  let with_passes passes = { full with Driver.passes } in
+  let without name =
+    with_passes (List.filter (fun n -> not (String.equal n name)) full.passes)
+  in
   let stage_options =
     [
-      ("full", Driver.default_options);
-      ("no scalar-replace", { Driver.default_options with do_scalar_replace = false });
-      ("no scheduling", { Driver.default_options with do_schedule = false });
+      ("full", full);
+      ("no scalar-replace", without "scalar-replace");
+      ("no scheduling", without "schedule");
       ( "balanced sched.",
-        { Driver.default_options with scheduler = Driver.Balanced } );
-      ("no unroll-and-jam", { Driver.default_options with do_unroll_jam = false });
-      ("no window stage", { Driver.default_options with do_window = false });
-      ( "analysis only",
-        {
-          Driver.default_options with
-          do_unroll_jam = false;
-          do_window = false;
-          do_scalar_replace = false;
-          do_schedule = false;
-        } );
+        with_passes
+          (List.map
+             (fun n -> if String.equal n "schedule" then "balanced-schedule" else n)
+             full.passes) );
+      ("no unroll-and-jam", without "unroll-jam");
+      ("no window stage", without "window-unroll");
+      ("analysis only", with_passes []);
     ]
   in
   let apps = [ "Em3d"; "LU"; "Mp3d"; "Ocean" ] in

@@ -252,3 +252,48 @@ let scalars_written stmts =
   in
   List.iter walk stmts;
   List.rev !acc
+
+(* First dynamic access to each scalar in a pre-order walk: a scalar whose
+   first access is a write is privatizable (each unrolled or fused copy
+   can own a renamed instance). *)
+let privatizable_scalars stmts =
+  let first : (string, [ `Read | `Write ]) Hashtbl.t = Hashtbl.create 8 in
+  let note v kind = if not (Hashtbl.mem first v) then Hashtbl.add first v kind in
+  let rec expr e =
+    match e with
+    | Const _ | Ivar _ -> ()
+    | Scalar v -> note v `Read
+    | Load r -> ref_ r
+    | Unop (_, a) -> expr a
+    | Binop (_, a, b) ->
+        expr a;
+        expr b
+  and ref_ r =
+    match r.target with
+    | Direct _ -> ()
+    | Indirect { index; _ } -> expr index
+    | Field { ptr; _ } -> expr ptr
+  in
+  let rec stmt s =
+    match s with
+    | Assign (Lscalar v, e) ->
+        expr e;
+        note v `Write
+    | Assign (Lmem r, e) ->
+        expr e;
+        ref_ r
+    | Use e -> expr e
+    | Barrier -> ()
+    | Prefetch r -> ref_ r
+    | If (c, t, e) ->
+        expr c;
+        List.iter stmt t;
+        List.iter stmt e
+    | Loop l -> List.iter stmt l.body
+    | Chase c ->
+        expr c.init;
+        note c.cvar `Write;
+        List.iter stmt c.cbody
+  in
+  List.iter stmt stmts;
+  List.filter (fun v -> Hashtbl.find_opt first v = Some `Write) (scalars_written stmts)

@@ -53,3 +53,9 @@ val validate : program -> (unit, string) result
 
 val scalars_written : stmt list -> string list
 (** Scalar variables assigned anywhere in the statements (no duplicates). *)
+
+val privatizable_scalars : stmt list -> string list
+(** The scalars written in the statements (in {!scalars_written} order)
+    whose first access, in a pre-order walk, is a write: each unrolled or
+    fused copy of the statements can own a renamed instance of one.
+    Scalars read before they are written carry a value across copies. *)

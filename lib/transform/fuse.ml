@@ -11,49 +11,6 @@ let pp_error ppf = function
   | Illegal m -> Format.fprintf ppf "illegal: %s" m
   | Scalar_conflict m -> Format.fprintf ppf "scalar conflict: %s" m
 
-(* first access per scalar in a pre-order walk (see Unroll_jam) *)
-let write_first stmts v =
-  let first = ref None in
-  let note kind = if !first = None then first := Some kind in
-  let rec expr e =
-    match e with
-    | Const _ | Ivar _ -> ()
-    | Scalar v' -> if String.equal v v' then note `Read
-    | Load r -> ref_ r
-    | Unop (_, a) -> expr a
-    | Binop (_, a, b) ->
-        expr a;
-        expr b
-  and ref_ r =
-    match r.target with
-    | Direct _ -> ()
-    | Indirect { index; _ } -> expr index
-    | Field { ptr; _ } -> expr ptr
-  in
-  let rec stmt s =
-    match s with
-    | Assign (Lscalar v', e) ->
-        expr e;
-        if String.equal v v' then note `Write
-    | Assign (Lmem r, e) ->
-        expr e;
-        ref_ r
-    | Use e -> expr e
-    | Barrier -> ()
-    | Prefetch r -> ref_ r
-    | If (c, t, e) ->
-        expr c;
-        List.iter stmt t;
-        List.iter stmt e
-    | Loop l -> List.iter stmt l.body
-    | Chase c ->
-        expr c.init;
-        if String.equal v c.cvar then note `Write;
-        List.iter stmt c.cbody
-  in
-  List.iter stmt stmts;
-  !first = Some `Write
-
 let apply ?(params = []) ?(outer_ranges = []) (l1 : loop) (l2 : loop) =
   (* align the second loop onto the first's variable *)
   let l2 =
@@ -70,9 +27,11 @@ let apply ?(params = []) ?(outer_ranges = []) (l1 : loop) (l2 : loop) =
     let w1 = Program.scalars_written l1.body in
     let w2 = Program.scalars_written l2.body in
     let shared = List.filter (fun v -> List.mem v w1) w2 in
+    let private1 = Program.privatizable_scalars l1.body in
+    let private2 = Program.privatizable_scalars l2.body in
     let conflict =
       List.find_opt
-        (fun v -> not (write_first l2.body v && write_first l1.body v))
+        (fun v -> not (List.mem v private2 && List.mem v private1))
         shared
     in
     match conflict with

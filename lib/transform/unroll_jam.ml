@@ -11,55 +11,9 @@ let pp_error ppf = function
 (* Scalar privatizability                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* First dynamic access to each scalar in a pre-order walk: a scalar whose
-   first access is a write is privatizable (each unrolled copy can own a
-   renamed instance). *)
-let first_accesses stmts =
-  let first : (string, [ `Read | `Write ]) Hashtbl.t = Hashtbl.create 8 in
-  let note v kind = if not (Hashtbl.mem first v) then Hashtbl.add first v kind in
-  let rec expr e =
-    match e with
-    | Const _ | Ivar _ -> ()
-    | Scalar v -> note v `Read
-    | Load r -> ref_ r
-    | Unop (_, a) -> expr a
-    | Binop (_, a, b) ->
-        expr a;
-        expr b
-  and ref_ r =
-    match r.target with
-    | Direct _ -> ()
-    | Indirect { index; _ } -> expr index
-    | Field { ptr; _ } -> expr ptr
-  in
-  let rec stmt s =
-    match s with
-    | Assign (Lscalar v, e) ->
-        expr e;
-        note v `Write
-    | Assign (Lmem r, e) ->
-        expr e;
-        ref_ r
-    | Use e -> expr e
-    | Barrier -> ()
-    | Prefetch r -> ref_ r
-    | If (c, t, e) ->
-        expr c;
-        List.iter stmt t;
-        List.iter stmt e
-    | Loop l -> List.iter stmt l.body
-    | Chase c ->
-        expr c.init;
-        note c.cvar `Write;
-        List.iter stmt c.cbody
-  in
-  List.iter stmt stmts;
-  first
-
+(* every scalar the body writes can be renamed per copy *)
 let scalars_privatizable (l : loop) =
-  let first = first_accesses l.body in
-  let written = Program.scalars_written l.body in
-  List.for_all (fun v -> Hashtbl.find_opt first v = Some `Write) written
+  Program.privatizable_scalars l.body = Program.scalars_written l.body
 
 (* ------------------------------------------------------------------ *)
 (* Jamming                                                             *)

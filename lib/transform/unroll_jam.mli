@@ -37,6 +37,6 @@ val apply :
     true. The caller must renumber the enclosing program afterwards. *)
 
 val scalars_privatizable : loop -> bool
-(** All scalars written in the loop body are written before read (looking
-    only at the loop's own level of statements and descending through
-    conditionals) — the condition for per-copy renaming to be sound. *)
+(** Every scalar written in the loop body is written before it is read
+    ({!Memclust_ir.Program.privatizable_scalars}) — the condition for
+    per-copy renaming to be sound. *)

@@ -177,7 +177,7 @@ let test_driver_window_resolution () =
 
 let test_driver_respects_flags () =
   let p = fig2a () in
-  let opts = { no_profile with Driver.do_unroll_jam = false; do_window = false } in
+  let opts = { no_profile with Driver.passes = [ "scalar-replace"; "schedule" ] } in
   let _, report = Driver.run ~options:opts p in
   Alcotest.(check bool) "no transform actions" true
     (List.for_all

@@ -26,11 +26,14 @@ let fig2a ?(rows = 64) ?(cols = 64) () =
 
 (* ------------------------- trace structure ------------------------- *)
 
+let always_run = [ "uniquify"; "analyze" ]
+
 let test_trace_structure () =
   let _, report = Driver.run ~options:no_profile (fig2a ()) in
   let t = report.Driver.trace in
   Alcotest.(check (list string))
-    "one entry per registered pass, in order" Driver.pass_names
+    "one entry per pass that ran, in registry order"
+    (always_run @ Driver.default_options.Driver.passes)
     (List.map (fun e -> e.Pass.Pipeline.pass_name) t.Pass.Pipeline.entries);
   Alcotest.(check string) "program name" "fig2a" t.Pass.Pipeline.program_name;
   Alcotest.(check bool) "total time non-negative" true
@@ -41,52 +44,51 @@ let test_trace_structure () =
         (e.Pass.Pipeline.pass_name ^ " wall time non-negative")
         true
         (e.Pass.Pipeline.wall_ms >= 0.0);
-      if e.Pass.Pipeline.ran then
-        Alcotest.(check bool)
-          (e.Pass.Pipeline.pass_name ^ " validated")
-          true e.Pass.Pipeline.validated
-      else
-        Alcotest.(check bool)
-          (e.Pass.Pipeline.pass_name ^ " skipped pass leaves IR size alone")
-          true
-          (e.Pass.Pipeline.size_before = e.Pass.Pipeline.size_after))
+      Alcotest.(check bool)
+        (e.Pass.Pipeline.pass_name ^ " validated")
+        true e.Pass.Pipeline.validated)
     t.Pass.Pipeline.entries;
   (* optional passes are off by default *)
   List.iter
     (fun name ->
-      let e =
-        List.find
-          (fun e -> e.Pass.Pipeline.pass_name = name)
-          t.Pass.Pipeline.entries
-      in
-      Alcotest.(check bool) (name ^ " disabled by default") false
-        e.Pass.Pipeline.ran)
-    [ "fuse"; "strip-mine"; "prefetch" ]
+      Alcotest.(check bool) (name ^ " not run by default") false
+        (List.exists
+           (fun e -> e.Pass.Pipeline.pass_name = name)
+           t.Pass.Pipeline.entries))
+    [ "fuse"; "strip-mine"; "prefetch"; "balanced-schedule" ]
 
 let ran_passes (t : Pass.Pipeline.trace) =
-  List.filter_map
-    (fun (e : Pass.Pipeline.entry) ->
-      if e.Pass.Pipeline.ran then Some e.Pass.Pipeline.pass_name else None)
+  List.map (fun (e : Pass.Pipeline.entry) -> e.Pass.Pipeline.pass_name)
     t.Pass.Pipeline.entries
+
+let with_passes passes = { no_profile with Driver.passes }
 
 let test_pass_selection () =
   let p = fig2a () in
   let _, full = Driver.run ~options:no_profile p in
-  let _, only_uj =
-    Driver.run ~options:no_profile ~only:[ "analyze"; "unroll-jam" ] p
-  in
   Alcotest.(check bool) "full pipeline runs scalar-replace" true
     (List.mem "scalar-replace" (ran_passes full.Driver.trace));
-  Alcotest.(check (list string))
-    "--passes analyze,unroll-jam runs exactly uniquify + those"
-    [ "uniquify"; "analyze"; "unroll-jam" ]
-    (ran_passes only_uj.Driver.trace);
-  (match Driver.run ~options:no_profile ~only:[ "no-such-pass" ] p with
+  List.iter
+    (fun passes ->
+      let _, only_uj = Driver.run ~options:(with_passes passes) p in
+      Alcotest.(check (list string))
+        (String.concat "," passes ^ " runs exactly uniquify, analyze, unroll-jam")
+        [ "uniquify"; "analyze"; "unroll-jam" ]
+        (ran_passes only_uj.Driver.trace))
+    (* the list is a set: order and repeats do not matter, and naming the
+       two passes that always run is accepted *)
+    [ [ "unroll-jam" ]; [ "analyze"; "unroll-jam" ]; [ "unroll-jam"; "uniquify"; "unroll-jam" ] ];
+  Alcotest.(check (list string)) "passes = [] runs the analysis only" always_run
+    (ran_passes (snd (Driver.run ~options:(with_passes []) p)).Driver.trace);
+  Alcotest.(check (list string)) "unknown names, in order"
+    [ "no-such-pass"; "schedul" ]
+    (Driver.unknown_passes [ "schedule"; "no-such-pass"; "analyze"; "schedul" ]);
+  (match Driver.run ~options:(with_passes [ "no-such-pass" ]) p with
   | (_ : Ast.program * Driver.report) ->
       Alcotest.fail "unknown pass name should raise"
   | exception Invalid_argument _ -> ());
   (* the trace round-trips through the JSON emitter without raising and
-     mentions every pass *)
+     mentions every pass that ran *)
   let json = Pass.Pipeline.trace_to_json full.Driver.trace in
   List.iter
     (fun name ->
@@ -99,7 +101,25 @@ let test_pass_selection () =
         scan 0
       in
       Alcotest.(check bool) (name ^ " appears in JSON") true found)
-    Driver.pass_names
+    (ran_passes full.Driver.trace)
+
+(* A subset of passes still reports every nest as analyzed: [analyze]
+   always runs, so a nest is never reported without its position and
+   α. *)
+let test_subset_keeps_analysis () =
+  let w = Option.get (Registry.by_name "Em3d") in
+  let options = { Driver.default_options with Driver.passes = [ "unroll-jam" ] } in
+  let _, report = Driver.run ~options ~init:w.Workload.init w.Workload.program in
+  Alcotest.(check bool) "some nest reported" true (report.Driver.nests <> []);
+  List.iter
+    (fun (n : Driver.nest_report) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "nest %s has an index" n.Driver.inner_desc)
+        true (n.Driver.nest_index >= 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "nest %s has alpha > 0" n.Driver.inner_desc)
+        true (n.Driver.alpha > 0.0))
+    report.Driver.nests
 
 (* ---------------------- one execution per program ---------------------- *)
 
@@ -119,7 +139,7 @@ let test_unchanged_program_runs_once () =
     (fun (label, options) ->
       Memclust_util.Analysis_cache.clear_all ();
       let p', report =
-        Driver.run ~options ~init:fig2a_init ~only:[ "analyze" ] p
+        Driver.run ~options:{ options with Driver.passes = [] } ~init:fig2a_init p
       in
       Alcotest.(check bool) (label ^ ": program unchanged") true
         (p' = Program.renumber p);
@@ -232,18 +252,11 @@ let test_postlude_shifted_nests () =
 (* ---------------- differential per-pass execution ------------------ *)
 
 (* Every registered pass — including the optional fuse / strip-mine /
-   prefetch passes — over every registry workload at tiny sizes: the
-   observable store after executing the program as it leaves each pass
-   must equal the base program's. *)
+   prefetch / balanced-schedule passes — over every registry workload at
+   tiny sizes: the observable store after executing the program as it
+   leaves each pass must equal the base program's. *)
 let test_differential_passes () =
-  let options =
-    {
-      no_profile with
-      Driver.do_fuse = true;
-      Driver.do_strip_mine = true;
-      Driver.do_prefetch = true;
-    }
-  in
+  let options = with_passes Driver.pass_names in
   List.iter
     (fun (w : Workload.t) ->
       let base = Program.renumber w.Workload.program in
@@ -256,10 +269,10 @@ let test_differential_passes () =
           ~observe:(fun pass p -> observed := (pass, p) :: !observed)
           w.Workload.program
       in
-      Alcotest.(check bool)
-        (w.Workload.name ^ ": observe fired")
-        true
-        (!observed <> []);
+      Alcotest.(check (list string))
+        (w.Workload.name ^ ": observe fired after every pass")
+        Driver.pass_names
+        (List.rev_map fst !observed);
       List.iter
         (fun (pass, p) ->
           let d = Data.create p in
@@ -280,6 +293,8 @@ let () =
         [
           Alcotest.test_case "trace structure" `Quick test_trace_structure;
           Alcotest.test_case "pass selection" `Quick test_pass_selection;
+          Alcotest.test_case "a pass subset keeps the analysis" `Quick
+            test_subset_keeps_analysis;
         ] );
       ( "executions",
         [

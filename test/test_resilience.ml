@@ -174,23 +174,20 @@ let test_forced_pass_failure_degrades () =
        (final_store w (Program.renumber w.Workload.program))
        (final_store w p))
 
-let test_failsafe_off_raises_structured_error () =
+(* a misspelt [fail_pass] would sabotage nothing: the driver refuses it *)
+let test_unknown_fail_pass_raises () =
   let w = small_lu () in
   let options =
     {
       Driver.default_options with
-      failsafe = false;
-      chaos =
-        Some
-          { Pass.chaos_seed = 0; chaos_rate = 0.0; fail_pass = Some "schedule" };
+      chaos = Some { Pass.chaos_seed = 0; chaos_rate = 0.0; fail_pass = Some "nosuch" };
     }
   in
   match Driver.run ~options ~init:w.Workload.init w.Workload.program with
-  | _ -> Alcotest.fail "sabotage with failsafe off must raise"
-  | exception Error.Error (Error.Legality_violation { pass; _ }) ->
-      Alcotest.(check string) "names the pass" "schedule" pass
-  | exception Error.Error (Error.Pass_failed { pass; _ }) ->
-      Alcotest.(check string) "names the pass" "schedule" pass
+  | _ -> Alcotest.fail "an unknown fail_pass must raise"
+  | exception Invalid_argument m ->
+      Alcotest.(check bool) "names the pass" true
+        (String.starts_with ~prefix:"Cluster.Driver: unknown pass nosuch" m)
 
 let test_chaos_spec_parses () =
   (match
@@ -210,10 +207,7 @@ let test_chaos_spec_parses () =
       | _ -> Alcotest.failf "%S must not parse" s
       | exception Invalid_argument m ->
           Alcotest.(check string) "error text"
-            (Printf.sprintf
-               "MEMCLUST_CHAOS_PASSES: expected SEED[:RATE] with RATE in \
-                [0,1], got %S"
-               s)
+            (Printf.sprintf "expected SEED[:RATE] with RATE in [0,1], got %S" s)
             m)
     [ "x"; "1:2"; "1:0.5:3" ]
 
@@ -258,17 +252,19 @@ let test_guard_contains_interpreter_errors () =
   let options =
     {
       Driver.default_options with
-      failsafe = false;
       chaos = Some { (chaos 0 0.0) with fail_pass = Some "analyze" };
     }
   in
-  match Driver.run ~options ~init:w.Workload.init w.Workload.program with
-  | _ -> Alcotest.fail "a raising candidate with failsafe off must raise"
-  | exception Error.Error (Error.Legality_violation { pass; detail }) ->
+  let _, report = Driver.run ~options ~init:w.Workload.init w.Workload.program in
+  match Pass.Pipeline.degraded_passes report.Driver.trace with
+  | [ (pass, reason) ] ->
       Alcotest.(check string) "names the pass" "analyze" pass;
       Alcotest.(check bool) "carries the interpreter error" true
         (String.starts_with ~prefix:"differential execution: candidate raised"
-           detail)
+           reason)
+  | ds ->
+      Alcotest.failf "expected analyze alone to degrade, got [%s]"
+        (String.concat "; " (List.map fst ds))
 
 (* The passes each plan sabotages, and how each fails, as recorded before
    sabotage moved out of the pipeline into a pass wrapper. *)
@@ -441,8 +437,8 @@ let () =
             test_chaos_pipeline_stays_correct;
           Alcotest.test_case "forced failure degrades" `Quick
             test_forced_pass_failure_degrades;
-          Alcotest.test_case "failsafe off raises" `Quick
-            test_failsafe_off_raises_structured_error;
+          Alcotest.test_case "unknown fail_pass raises" `Quick
+            test_unknown_fail_pass_raises;
           Alcotest.test_case "spec parses" `Quick test_chaos_spec_parses;
           Alcotest.test_case "guard contains interpreter errors" `Quick
             test_guard_contains_interpreter_errors;
